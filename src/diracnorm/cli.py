@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -48,7 +48,7 @@ from .spectral_core import (
     random_field,
     spectral_projectors,
 )
-from .subspaces import level_bound, subspace_ratio
+from .subspaces import level_bound
 
 SNAPSHOT_MAGIC = "DIRACNORM v1"
 FORMAT_VERSION = 1
@@ -93,15 +93,10 @@ _DEFAULTS: dict[str, str] = {
     "model.t0": "1.0",
     "model.cone_center": "2,0,0",
     "model.cone_radius": "1.0",
-    "solver.tol_grad": "1e-8",
-    "solver.tol_inner": "1e-9",
-    "solver.max_outer": "2000",
-    "solver.max_inner": "500",
-    "solver.step_init": "1.0",
-    "solver.armijo_c": "1e-4",
-    "solver.a_max": "0.25",
-    "solver.deflation_strength": "1e-6",
-    "solver.seed": "20240",
+    **{
+        f"solver.{f.name}": "" if f.default is None else str(f.default)
+        for f in fields(SolverOptions)
+    },
     "solve.a": "0.1",
     "sweep.a_values": "0.2,0.14,0.1,0.07,0.05",
     "subspace.k_list": "1,2,3",
@@ -204,21 +199,13 @@ def parse_config(text: str) -> RunConfig:
     except ValueError as exc:
         raise ConfigError(f"line {lines['model.kind']}: {exc}") from exc
 
-    a_max_raw = values["solver.a_max"]
+    solver_args = {}
+    for f in fields(SolverOptions):
+        key = f"solver.{f.name}"
+        auto = f.name == "a_max" and values[key] in ("", "auto")
+        solver_args[f.name] = None if auto else scalar(key, type(f.default))
     try:
-        solver = SolverOptions(
-            tol_grad=scalar("solver.tol_grad", float),
-            tol_inner=scalar("solver.tol_inner", float),
-            max_outer=scalar("solver.max_outer", int),
-            max_inner=scalar("solver.max_inner", int),
-            step_init=scalar("solver.step_init", float),
-            armijo_c=scalar("solver.armijo_c", float),
-            a_max=None if a_max_raw in ("", "auto") else _parse_scalar(
-                "solver.a_max", a_max_raw, lines["solver.a_max"], float
-            ),
-            deflation_strength=scalar("solver.deflation_strength", float),
-            seed=scalar("solver.seed", int),
-        )
+        solver = SolverOptions(**solver_args)
     except ValueError as exc:
         raise ConfigError(f"line {lines['solver.tol_grad']}: {exc}") from exc
 
@@ -581,7 +568,7 @@ def cmd_subspace(cfg: RunConfig, out_dir: Path, quiet: bool) -> int:
     for k in cfg.subspace_k_list:
         for n in cfg.subspace_n_ladder:
             bound = level_bound(cfg.model, k, n, a, space, density=cfg.subspace_density)
-            report = subspace_ratio(cfg.model, k, n, space, density=cfg.subspace_density)
+            report = bound.report
             rows.append(
                 [
                     str(k),
@@ -623,17 +610,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     if args.seed is not None:
-        cfg.solver = SolverOptions(
-            tol_grad=cfg.solver.tol_grad,
-            tol_inner=cfg.solver.tol_inner,
-            max_outer=cfg.solver.max_outer,
-            max_inner=cfg.solver.max_inner,
-            step_init=cfg.solver.step_init,
-            armijo_c=cfg.solver.armijo_c,
-            a_max=cfg.solver.a_max,
-            deflation_strength=cfg.solver.deflation_strength,
-            seed=args.seed,
-        )
+        cfg.solver = replace(cfg.solver, seed=args.seed)
     out_dir = Path(args.output) if args.output else Path(cfg.output_dir)
     commands = {
         "check": cmd_check,

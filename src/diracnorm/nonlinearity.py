@@ -24,11 +24,12 @@ solvable linear baselines.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 from numpy.typing import NDArray
 
-from .spectral_core import SpinorField, l2_inner
+from .spectral_core import Grid, SpinorField, l2_inner
 
 ArrayF = NDArray[np.float64]
 
@@ -180,33 +181,38 @@ def _check_t(t) -> ArrayF:
     return t
 
 
-def _f_r2(model: NonlinearModel, r2, t) -> ArrayF:
+@lru_cache(maxsize=16)
+def _grid_weight(weight: WeightSpec, grid: Grid) -> ArrayF:
+    """r(x) at the grid points; read-only, since every caller shares it."""
+    out = weight.value_r2(grid.radius_sq)
+    out.setflags(write=False)
+    return out
+
+
+def _f_w(model: NonlinearModel, w, t) -> ArrayF:  # w = r(x), the weight values
     t = _check_t(t)
     if model.kind == "null":
-        return np.zeros(np.broadcast_shapes(np.shape(r2), t.shape))
-    w = model.weight.value_r2(r2)
+        return np.zeros(np.broadcast_shapes(np.shape(w), t.shape))
     if model.kind == "pure_power":
         return w * t ** (model.p - 2.0)
     return w * (t ** (model.p - 2.0) + t ** (model.q - 2.0))
 
 
-def _F_r2(model: NonlinearModel, r2, t) -> ArrayF:
+def _F_w(model: NonlinearModel, w, t) -> ArrayF:
     t = _check_t(t)
     if model.kind == "null":
-        return np.zeros(np.broadcast_shapes(np.shape(r2), t.shape))
-    w = model.weight.value_r2(r2)
+        return np.zeros(np.broadcast_shapes(np.shape(w), t.shape))
     if model.kind == "pure_power":
         return w * t**model.p / model.p
     return w * (t**model.p / model.p + t**model.q / model.q)
 
 
-def _f_prime_r2(model: NonlinearModel, r2, t) -> ArrayF:
+def _f_prime_w(model: NonlinearModel, w, t) -> ArrayF:
     t = np.asarray(t, dtype=float)
     if model.kind == "null":
-        return np.zeros(np.broadcast_shapes(np.shape(r2), t.shape))
+        return np.zeros(np.broadcast_shapes(np.shape(w), t.shape))
     if np.any(t <= 0):
         raise ValueError("f_prime requires t > 0")
-    w = model.weight.value_r2(r2)
     if model.kind == "pure_power":
         return w * (model.p - 2.0) * t ** (model.p - 3.0)
     return w * (
@@ -222,17 +228,17 @@ def _r2_of(x) -> ArrayF:
 
 def f_value(model: NonlinearModel, x, t) -> ArrayF:
     """f(x, t); x is a 3-vector or (..., 3) array, t broadcasts against it."""
-    return _f_r2(model, _r2_of(x), t)
+    return _f_w(model, model.weight.value_r2(_r2_of(x)), t)
 
 
 def F_value(model: NonlinearModel, x, t) -> ArrayF:
     """Potential F(x, t) = int_0^t f(x, s) s ds (exact closed form)."""
-    return _F_r2(model, _r2_of(x), t)
+    return _F_w(model, model.weight.value_r2(_r2_of(x)), t)
 
 
 def f_prime(model: NonlinearModel, x, t) -> ArrayF:
     """Partial derivative of f in t; defined for t > 0."""
-    return _f_prime_r2(model, _r2_of(x), t)
+    return _f_prime_w(model, model.weight.value_r2(_r2_of(x)), t)
 
 
 def psi(model: NonlinearModel, u: SpinorField) -> float:
@@ -240,7 +246,7 @@ def psi(model: NonlinearModel, u: SpinorField) -> float:
     if model.kind == "null":
         return 0.0
     grid = u.space.grid
-    vals = _F_r2(model, grid.radius_sq, u.point_norm())
+    vals = _F_w(model, _grid_weight(model.weight, grid), u.point_norm())
     return grid.cell_volume * float(np.sum(vals))
 
 
@@ -249,7 +255,7 @@ def psi_gradient(model: NonlinearModel, u: SpinorField) -> SpinorField:
     if model.kind == "null":
         return SpinorField.zeros(u.space)
     grid = u.space.grid
-    fvals = _f_r2(model, grid.radius_sq, u.point_norm())
+    fvals = _f_w(model, _grid_weight(model.weight, grid), u.point_norm())
     return SpinorField(u.space, fvals[None, :, :, :] * u.values)
 
 
@@ -322,12 +328,12 @@ def check_growth(
     n = int(sample_count)
     x = rng.uniform(-box_half, box_half, size=(n, 3))
     t = np.exp(rng.uniform(np.log(1e-3), np.log(1e2), size=n))
-    r2 = _r2_of(x)
+    w = model.weight.value_r2(_r2_of(x))
     p, q = model.p, model.q
 
-    f = _f_r2(model, r2, t)
-    fp = _f_prime_r2(model, r2, t)
-    F = _F_r2(model, r2, t)
+    f = _f_w(model, w, t)
+    fp = _f_prime_w(model, w, t)
+    F = _F_w(model, w, t)
     checks: list[GrowthCheck] = []
 
     def _worst(arr, pts):
@@ -376,8 +382,8 @@ def check_growth(
     # scaling envelope, both regimes of s
     s_up = np.exp(rng.uniform(0.0, np.log(10.0), size=n))
     s_dn = np.exp(rng.uniform(np.log(0.1), 0.0, size=n))
-    F_up = _F_r2(model, r2, s_up * t)
-    F_dn = _F_r2(model, r2, s_dn * t)
+    F_up = _F_w(model, w, s_up * t)
+    F_dn = _F_w(model, w, s_dn * t)
     sc_up = float(np.max(F_up))
     m5 = float(np.min(F_up - s_up**p * F))
     m6 = float(np.min(s_up**q * F - F_up))
@@ -394,9 +400,9 @@ def check_growth(
                               tight=(p == q)))
 
     # one-point form in terms of r(x) = f(x, 1)
-    r_of_x = _f_r2(model, r2, np.ones(n))
-    F_s_up = _F_r2(model, r2, s_up)
-    F_s_dn = _F_r2(model, r2, s_dn)
+    r_of_x = _f_w(model, w, np.ones(n))
+    F_s_up = _F_w(model, w, s_up)
+    F_s_dn = _F_w(model, w, s_dn)
     sc_one = float(np.max(F_s_up))
     m9 = float(np.min(F_s_up - r_of_x * s_up**p / q))
     m10 = float(np.min(r_of_x * s_up**q / p - F_s_up))
@@ -426,7 +432,7 @@ def check_growth(
     t_ray = np.exp(rng.uniform(0.0, np.log(1e3), size=m_cone))
     x_cone = t_ray[:, None] * y
     t_small = np.exp(rng.uniform(np.log(1e-6), np.log(model.t0), size=m_cone))
-    F_cone = _F_r2(model, _r2_of(x_cone), t_small)
+    F_cone = F_value(model, x_cone, t_small)
     lower = (
         model.lower_const_effective
         * np.linalg.norm(x_cone, axis=1) ** (-model.tau)

@@ -33,6 +33,7 @@ from .reduction import (
 from .spectral_core import (
     DiracSpace,
     SpinorField,
+    e_inner,
     e_norm,
     gaussian_spinor,
     h_half_norm,
@@ -221,11 +222,6 @@ def _spectral_scale(space: DiracSpace, kappa_val: float) -> np.ndarray:
     return space.lam / ((space.lam - m) + gap)
 
 
-def _e_inner_hat(space: DiracSpace, a_hat, b_hat) -> float:
-    pair = np.sum(a_hat * np.conj(b_hat), axis=0)
-    return space.grid.cell_volume * float(np.real(np.sum(space.lam * pair)))
-
-
 class _QuasiNewton:
     """Limited-memory inverse-Hessian model in the e-metric.
 
@@ -238,14 +234,14 @@ class _QuasiNewton:
     def __init__(self, space: DiracSpace, memory: int = 10):
         self.space = space
         self.memory = memory
-        self.pairs: list[tuple[np.ndarray, np.ndarray, float]] = []
+        self.pairs: list[tuple[SpinorField, SpinorField, float]] = []
 
-    def push(self, s_hat, y_hat) -> None:
-        curv = _e_inner_hat(self.space, s_hat, y_hat)
-        s_n = np.sqrt(max(_e_inner_hat(self.space, s_hat, s_hat), 0.0))
-        y_n = np.sqrt(max(_e_inner_hat(self.space, y_hat, y_hat), 0.0))
+    def push(self, s: SpinorField, y: SpinorField) -> None:
+        curv = e_inner(s, y)
+        s_n = np.sqrt(max(e_inner(s, s), 0.0))
+        y_n = np.sqrt(max(e_inner(y, y), 0.0))
         if curv > 1e-10 * s_n * y_n:
-            self.pairs.append((s_hat, y_hat, 1.0 / curv))
+            self.pairs.append((s, y, 1.0 / curv))
             if len(self.pairs) > self.memory:
                 self.pairs.pop(0)
 
@@ -253,18 +249,17 @@ class _QuasiNewton:
         self.pairs.clear()
 
     def direction(self, state: ReducedState, grad: SpinorField) -> SpinorField:
-        q = grad.hat.copy()
+        q = grad
         alphas: list[float] = []
-        for s_hat, y_hat, rho in reversed(self.pairs):
-            alpha = rho * _e_inner_hat(self.space, s_hat, q)
-            q -= alpha * y_hat
+        for s, y, rho in reversed(self.pairs):
+            alpha = rho * e_inner(s, q)
+            q = q - alpha * y
             alphas.append(alpha)
-        q *= _spectral_scale(self.space, state.kappa_val)
-        for (s_hat, y_hat, rho), alpha in zip(self.pairs, reversed(alphas)):
-            beta = rho * _e_inner_hat(self.space, y_hat, q)
-            q += (alpha - beta) * s_hat
-        d = SpinorField.from_hat(self.space, q)
-        return tangent_project(state.v, d)
+        q = SpinorField.from_hat(self.space, q.hat * _spectral_scale(self.space, state.kappa_val))
+        for (s, y, rho), alpha in zip(self.pairs, reversed(alphas)):
+            beta = rho * e_inner(y, q)
+            q = q + (alpha - beta) * s
+        return tangent_project(state.v, q)
 
 
 def _build_record(
@@ -431,10 +426,7 @@ def minimize_on_sphere(
             stagnant = 0
         state_new = attach_gradient(model, state_try)
         grad_new = _search_direction(state_new, centers, strength)
-        qn.push(
-            state_new.v.hat - v.hat,
-            grad_new.hat - grad.hat,
-        )
+        qn.push(state_new.v - v, grad_new - grad)
         v, state, grad = state_new.v, state_new, grad_new
         obj = _objective(state, centers, strength)
         history.append(state.j_val)

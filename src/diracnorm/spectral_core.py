@@ -1,12 +1,14 @@
 """Periodic-box spectral calculus for the free Dirac operator.
 
-Spinor fields are C^4-valued samples on a uniform periodic grid over a
-centered cube.  Every linear operation is diagonal per Fourier mode: at
-frequency xi the 4x4 symbol of -i alpha.grad + m beta equals alpha.xi + m beta,
-with eigenvalues +-lambda(xi), lambda(xi) = sqrt(|xi|^2 + m^2), each of
-multiplicity two.  The forward transform uses the unitary exp(-i xi.x) kernel,
-so -i d/dx_k acts as multiplication by xi_k and the mode-by-mode projector
-algebra is exact on band-limited data.
+Spinor fields are C^4-valued functions on a uniform periodic grid over a
+centered cube, held as grid samples, as Fourier coefficients, or both (see
+:class:`SpinorField`).  Every linear operation is diagonal per Fourier mode:
+at frequency xi the 4x4 symbol of -i alpha.grad + m beta equals
+alpha.xi + m beta, with eigenvalues +-lambda(xi), lambda(xi) = sqrt(|xi|^2 + m^2),
+each of multiplicity two.  The forward transform uses the unitary exp(-i xi.x)
+kernel, so -i d/dx_k acts as multiplication by xi_k, the mode-by-mode
+projector algebra is exact on band-limited data, and L2 pairings can be taken
+on either representation (Parseval).
 
 Conventions
 -----------
@@ -19,7 +21,6 @@ Conventions
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -57,7 +58,7 @@ BETA: ArrayC = np.diag([1.0, 1.0, -1.0, -1.0]).astype(np.complex128)
 
 @dataclass(frozen=True)
 class DiracSymbol:
-    """Mass together with the fixed matrices of the first-order symbol.
+    """Mass of the first-order symbol alpha.xi + m beta (matrices ALPHA, BETA).
 
     ``mass == 0`` is allowed for pointwise symbol evaluation; the spectral
     splitting itself requires a positive mass (see :class:`DiracSpace`).
@@ -68,14 +69,6 @@ class DiracSymbol:
     def __post_init__(self) -> None:
         if self.mass < 0:
             raise ValueError(f"mass must be nonnegative, got {self.mass}")
-
-    @property
-    def alpha(self) -> ArrayC:
-        return ALPHA
-
-    @property
-    def beta(self) -> ArrayC:
-        return BETA
 
     def band_energy(self, xi) -> float:
         """lambda(xi) = sqrt(|xi|^2 + m^2)."""
@@ -174,51 +167,81 @@ class DiracSpace:
         self.mass = float(mass)
         self.symbol = DiracSymbol(self.mass)
         k = grid.freq_axis
-        self._kx = k[:, None, None]
-        self._ky = k[None, :, None]
-        self._kz = k[None, None, :]
-        ksq = self._kx**2 + self._ky**2 + self._kz**2
+        kx, ky, self._kz = k[:, None, None], k[None, :, None], k[None, None, :]
+        self._k_plus, self._k_minus = kx + 1j * ky, kx - 1j * ky
+        ksq = kx**2 + ky**2 + self._kz**2
         self.lam: ArrayF = np.sqrt(ksq + self.mass**2)
         self.hhalf_weight: ArrayF = np.sqrt(1.0 + ksq)
 
+    # ``out`` lets the three per-axis passes share one array (same result).
     def fft(self, values: ArrayC) -> ArrayC:
-        return np.fft.fftn(values, axes=(1, 2, 3), norm="ortho")
+        out = np.empty(np.shape(values), np.complex128)
+        return np.fft.fftn(values, axes=(1, 2, 3), norm="ortho", out=out)
 
     def ifft(self, hat: ArrayC) -> ArrayC:
-        return np.fft.ifftn(hat, axes=(1, 2, 3), norm="ortho")
+        out = np.empty(np.shape(hat), np.complex128)
+        return np.fft.ifftn(hat, axes=(1, 2, 3), norm="ortho", out=out)
 
     def apply_symbol_hat(self, hat: ArrayC) -> ArrayC:
-        """Multiply Fourier coefficients by the symbol alpha.xi + m beta."""
-        out = self.mass * np.tensordot(BETA, hat, axes=(1, 0))
-        out += self._kx * np.tensordot(ALPHA[0], hat, axes=(1, 0))
-        out += self._ky * np.tensordot(ALPHA[1], hat, axes=(1, 0))
-        out += self._kz * np.tensordot(ALPHA[2], hat, axes=(1, 0))
+        """Multiply Fourier coefficients by the symbol alpha.xi + m beta.
+
+        With sigma.xi = [[k_z, k_-], [k_+, -k_z]] and k_pm = k_x +- i k_y, the
+        upper block maps to m upper + (sigma.xi) lower and the lower block to
+        (sigma.xi) upper - m lower; both are accumulated in place.
+        """
+        kz, kp, km = self._kz, self._k_plus, self._k_minus
+        out = np.empty_like(hat, dtype=np.complex128)
+        np.multiply(self.mass, hat[:2], out=out[:2])
+        np.multiply(-self.mass, hat[2:], out=out[2:])
+        tmp = np.empty_like(out[0])
+        for block, (a, b) in ((out[:2], hat[2:]), (out[2:], hat[:2])):
+            block[0] += np.multiply(kz, a, out=tmp)
+            block[0] += np.multiply(km, b, out=tmp)
+            block[1] += np.multiply(kp, a, out=tmp)
+            block[1] -= np.multiply(kz, b, out=tmp)
         return out
 
     def plus_hat(self, hat: ArrayC) -> ArrayC:
-        return 0.5 * (hat + self.apply_symbol_hat(hat) / self.lam)
+        """Projection (I + symbol/lambda)/2 onto the positive spectral part."""
+        out = self.apply_symbol_hat(hat)
+        out /= self.lam
+        out += hat
+        out *= 0.5
+        return out
 
     def minus_hat(self, hat: ArrayC) -> ArrayC:
-        return 0.5 * (hat - self.apply_symbol_hat(hat) / self.lam)
+        """Projection (I - symbol/lambda)/2 onto the negative spectral part."""
+        out = self.apply_symbol_hat(hat)
+        out /= self.lam
+        np.subtract(hat, out, out=out)
+        out *= 0.5
+        return out
 
 
-@dataclass(eq=False)
 class SpinorField:
-    """C^4-valued field sampled on a DiracSpace.  Treat instances as immutable.
+    """C^4-valued field on a DiracSpace.  Treat instances as immutable.
 
-    The Fourier representation is computed lazily and cached; arithmetic
-    returns new fields and combines cached transforms when both operands
-    carry them.
+    A field holds grid values (shape (4, n, n, n)), Fourier coefficients of
+    the same shape, or both; the missing representation is computed on first
+    use and cached.  ``+``, ``-``, negation and scalar ``*`` combine grid
+    values when both operands hold values and at least one lacks
+    coefficients, and combine coefficients otherwise (transforming an operand
+    that lacks them); the result holds only the representation combined.
     """
 
-    space: DiracSpace
-    values: ArrayC
-    _hat: ArrayC | None = dataclasses.field(default=None, repr=False, compare=False)
+    __slots__ = ("space", "_values", "_hat")
+
+    def __init__(self, space: DiracSpace, values: ArrayC | None, hat: ArrayC | None = None):
+        if values is None and hat is None:
+            raise ValueError("a field needs grid values or Fourier coefficients")
+        self.space = space
+        self._values = values
+        self._hat = hat
 
     @classmethod
     def zeros(cls, space: DiracSpace) -> "SpinorField":
-        n = space.grid.n_per_axis
-        return cls(space, np.zeros((4, n, n, n), dtype=np.complex128))
+        shape = (4,) + (space.grid.n_per_axis,) * 3
+        return cls(space, np.zeros(shape, np.complex128), np.zeros(shape, np.complex128))
 
     @classmethod
     def from_values(cls, space: DiracSpace, values) -> "SpinorField":
@@ -230,51 +253,48 @@ class SpinorField:
 
     @classmethod
     def from_hat(cls, space: DiracSpace, hat: ArrayC) -> "SpinorField":
-        out = cls(space, space.ifft(hat))
-        out._hat = hat
-        return out
+        return cls(space, None, hat)
+
+    @property
+    def values(self) -> ArrayC:
+        if self._values is None:
+            self._values = self.space.ifft(self._hat)
+        return self._values
 
     @property
     def hat(self) -> ArrayC:
         if self._hat is None:
-            self._hat = self.space.fft(self.values)
+            self._hat = self.space.fft(self._values)
         return self._hat
-
-    def copy(self) -> "SpinorField":
-        out = SpinorField(self.space, self.values.copy())
-        if self._hat is not None:
-            out._hat = self._hat.copy()
-        return out
 
     def point_norm(self) -> ArrayF:
         """Pointwise C^4 norm |u(x)| on the grid."""
         return np.sqrt(np.sum(np.abs(self.values) ** 2, axis=0))
 
+    def _combine(self, other: "SpinorField", op) -> "SpinorField":
+        if _in_values(self, other):
+            return SpinorField(self.space, op(self._values, other._values))
+        return SpinorField.from_hat(self.space, op(self.hat, other.hat))
+
     def __add__(self, other: "SpinorField") -> "SpinorField":
-        out = SpinorField(self.space, self.values + other.values)
-        if self._hat is not None and other._hat is not None:
-            out._hat = self._hat + other._hat
-        return out
+        return self._combine(other, np.add)
 
     def __sub__(self, other: "SpinorField") -> "SpinorField":
-        out = SpinorField(self.space, self.values - other.values)
-        if self._hat is not None and other._hat is not None:
-            out._hat = self._hat - other._hat
-        return out
+        return self._combine(other, np.subtract)
 
     def __neg__(self) -> "SpinorField":
-        out = SpinorField(self.space, -self.values)
-        if self._hat is not None:
-            out._hat = -self._hat
-        return out
+        return self._combine(self, lambda arr, _: -arr)
 
     def __mul__(self, scalar) -> "SpinorField":
-        out = SpinorField(self.space, self.values * scalar)
-        if self._hat is not None:
-            out._hat = self._hat * scalar
-        return out
+        return self._combine(self, lambda arr, _: arr * scalar)
 
     __rmul__ = __mul__
+
+
+def _in_values(u: SpinorField, v: SpinorField) -> bool:
+    """Whether an operation on u and v works on grid values (see SpinorField)."""
+    both_values = u._values is not None and v._values is not None
+    return both_values and (u._hat is None or v._hat is None)
 
 
 @dataclass(eq=False)
@@ -288,46 +308,49 @@ class SpectralSplit:
         return self.plus + self.minus
 
 
+def _real_dot(a: ArrayC, b: ArrayC) -> float:
+    """Re sum(a conj(b)) in one pass over the real views.  Not np.vdot: its
+    threaded BLAS sum changes in the last bits with the thread count."""
+    return float(np.einsum("i,i->", np.ravel(a).view(np.float64), np.ravel(b).view(np.float64)))
+
+
 def l2_inner(u: SpinorField, v: SpinorField) -> float:
-    """Real part of the L2 pairing, cell-volume quadrature."""
-    acc = float(np.real(np.sum(u.values * np.conj(v.values))))
-    return u.space.grid.cell_volume * acc
+    """Real part of the L2 pairing, cell-volume quadrature (or Parseval)."""
+    pair = _real_dot(u.values, v.values) if _in_values(u, v) else _real_dot(u.hat, v.hat)
+    return u.space.grid.cell_volume * pair
 
 
 def l2_norm(u: SpinorField) -> float:
-    acc = float(np.sum(np.abs(u.values) ** 2))
-    return float(np.sqrt(u.space.grid.cell_volume * acc))
+    arr = u._values if u._hat is None else u._hat
+    return float(np.sqrt(u.space.grid.cell_volume * _real_dot(arr, arr)))
+
+
+def _mode_pairing(u: SpinorField, v: SpinorField, weight: ArrayF) -> float:
+    """Real part of sum_xi weight(xi) u_hat(xi) . conj(v_hat(xi)), times the cell volume."""
+    return u.space.grid.cell_volume * _real_dot(weight * u.hat, v.hat)
 
 
 def e_inner(u: SpinorField, v: SpinorField) -> float:
     """Form-domain inner product: each mode weighted by lambda(xi)."""
-    sp = u.space
-    pair = np.sum(u.hat * np.conj(v.hat), axis=0)
-    return sp.grid.cell_volume * float(np.real(np.sum(sp.lam * pair)))
+    return _mode_pairing(u, v, u.space.lam)
 
 
 def e_norm(u: SpinorField) -> float:
-    sp = u.space
-    dens = np.sum(np.abs(u.hat) ** 2, axis=0)
-    return float(np.sqrt(sp.grid.cell_volume * float(np.sum(sp.lam * dens))))
+    return float(np.sqrt(_mode_pairing(u, u, u.space.lam)))
 
 
 def h_half_norm(u: SpinorField) -> float:
     """Multiplier norm with weight sqrt(1 + |xi|^2)."""
-    sp = u.space
-    dens = np.sum(np.abs(u.hat) ** 2, axis=0)
-    return float(np.sqrt(sp.grid.cell_volume * float(np.sum(sp.hhalf_weight * dens))))
+    return float(np.sqrt(_mode_pairing(u, u, u.space.hhalf_weight)))
 
 
 def split(u: SpinorField) -> SpectralSplit:
     """Decompose u into its positive/negative spectral parts."""
     sp = u.space
-    sym_hat = sp.apply_symbol_hat(u.hat)
-    plus_hat = 0.5 * (u.hat + sym_hat / sp.lam)
-    minus_hat = u.hat - plus_hat
+    plus_hat = sp.plus_hat(u.hat)
     return SpectralSplit(
         SpinorField.from_hat(sp, plus_hat),
-        SpinorField.from_hat(sp, minus_hat),
+        SpinorField.from_hat(sp, u.hat - plus_hat),
     )
 
 
@@ -339,13 +362,17 @@ def apply_h0(u: SpinorField) -> SpinorField:
 def riesz_plus(u: SpinorField) -> SpinorField:
     """Plus-part representative of z -> l2_inner(u, z) in the e_inner metric."""
     sp = u.space
-    return SpinorField.from_hat(sp, sp.plus_hat(u.hat / sp.lam))
+    out = sp.plus_hat(u.hat)
+    out /= sp.lam  # the projector commutes with the per-mode weight
+    return SpinorField.from_hat(sp, out)
 
 
 def riesz_minus(u: SpinorField) -> SpinorField:
     """Minus-part representative of z -> l2_inner(u, z) in the e_inner metric."""
     sp = u.space
-    return SpinorField.from_hat(sp, sp.minus_hat(u.hat / sp.lam))
+    out = sp.minus_hat(u.hat)
+    out /= sp.lam
+    return SpinorField.from_hat(sp, out)
 
 
 def in_plus_cone(u: SpinorField) -> bool:

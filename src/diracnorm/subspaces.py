@@ -31,6 +31,7 @@ from .spectral_core import (
     apply_h0,
     e_norm,
     eigen_spinor,
+    l2_inner,
     l2_norm,
     plane_wave,
     split,
@@ -318,19 +319,16 @@ def subspace_ratio(
     injectivity of the plus projection via the Gram matrix of the spanning
     fields.
     """
-    basis = HermiteBasis.first(k)
+    return _subspace_report(model, k, n, base_space, density)[1]
+
+
+def _subspace_report(
+    model: NonlinearModel, k: int, n: float, base_space: DiracSpace, density: int
+) -> tuple[list[SpinorField], SubspaceReport]:
+    """The plus basis of subspace_ratio together with its report."""
     space = subspace_space(base_space, n)
-    plus_fields, capture = _plus_basis(model, space, n, basis)
-    gram = np.array(
-        [
-            [
-                space.grid.cell_volume
-                * float(np.real(np.sum(pi.values * np.conj(pj.values))))
-                for pj in plus_fields
-            ]
-            for pi in plus_fields
-        ]
-    )
+    plus_fields, capture = _plus_basis(model, space, n, HermiteBasis.first(k))
+    gram = np.array([[l2_inner(pi, pj) for pj in plus_fields] for pi in plus_fields])
     scale_diag = np.sqrt(np.diag(gram))
     normalized_gram = gram / np.outer(scale_diag, scale_diag)
     gram_min_eig = float(np.min(np.linalg.eigvalsh(normalized_gram)))
@@ -362,7 +360,7 @@ def subspace_ratio(
     )
     if capture < 0.999:
         report.warnings.append(f"mass capture {capture:.4f} below 0.999")
-    return report
+    return plus_fields, report
 
 
 @dataclass
@@ -378,6 +376,7 @@ class LevelBoundResult:
     inf_psi: float
     below_half_level: bool
     consistent: bool
+    report: SubspaceReport
 
 
 def level_bound(
@@ -398,16 +397,13 @@ def level_bound(
     direct sup must not exceed the analytic bound by more than sampling
     slack once the mass is small.
     """
-    report = subspace_ratio(model, k, n, base_space, density=density)
+    plus_fields, report = _subspace_report(model, k, n, base_space, density)
     m = base_space.mass
     q = model.q
     analytic = 0.5 * a * a * (m + report.sup_quad) - 2.0 ** (
         1.0 - 2.0 * q
     ) * a**q * report.inf_psi
 
-    basis = HermiteBasis.first(k)
-    space = subspace_space(base_space, n)
-    plus_fields, _ = _plus_basis(model, space, n, basis)
     samples = sphere_samples(k, max(j_density * k - 2 * k, 0))
     direct = -np.inf
     for c in samples:
@@ -429,4 +425,5 @@ def level_bound(
         inf_psi=report.inf_psi,
         below_half_level=analytic < half,
         consistent=direct <= analytic + slack + 1e-12 * abs(analytic),
+        report=report,
     )
