@@ -50,6 +50,7 @@ from .spectral_core import (
     SIGMA,
     DiracSpace,
     DiracSymbol,
+    FieldError,
     Grid,
     SpectralSplit,
     SpinorField,

@@ -22,13 +22,20 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
-from .nonlinearity import NonlinearModel, WeightSpec, check_growth
-from .reduction import sample_concavity, evaluate_reduced, minus_ball_radius
+from .nonlinearity import NonlinearModel, check_growth
+from .reduction import (
+    energy,
+    evaluate_reduced,
+    h_map,
+    minus_ball_radius,
+    sample_concavity,
+    tangent_project,
+)
 from .solver import (
     DescentStallError,
     SolverOptions,
@@ -40,9 +47,11 @@ from .solver import (
 )
 from .spectral_core import (
     DiracSpace,
+    FieldError,
     Grid,
     SpinorField,
     dirac_symbol_at,
+    e_inner,
     e_norm,
     l2_norm,
     random_field,
@@ -60,72 +69,106 @@ class ConfigError(ValueError):
 
 @dataclass
 class RunConfig:
-    """Typed view of one configuration file."""
+    """Typed view of one configuration file.
 
-    grid: Grid
-    mass: float
-    model: NonlinearModel
-    solver: SolverOptions
-    solve_a: float
-    sweep_a_values: list[float]
-    subspace_k_list: list[int]
-    subspace_n_ladder: list[float]
-    subspace_density: int
-    multi_k: int
-    output_dir: str
+    The field defaults here and in the library dataclasses it holds are the
+    defaults of the config format; their ``__post_init__`` checks are its
+    admissibility rules.
+    """
+
+    grid: Grid = Grid(24, 16.0)
+    mass: float = 1.0
+    model: NonlinearModel = NonlinearModel()
+    solver: SolverOptions = SolverOptions()
+    solve_a: float = 0.1
+    sweep_a_values: list[float] = field(default_factory=lambda: [0.2, 0.14, 0.1, 0.07, 0.05])
+    subspace_k_list: list[int] = field(default_factory=lambda: [1, 2, 3])
+    subspace_n_ladder: list[float] = field(default_factory=lambda: [2.0, 4.0, 8.0, 16.0])
+    subspace_density: int = 64
+    multi_k: int = 2
+    output_dir: str = "out"
     format_version: int = FORMAT_VERSION
-    raw: dict = field(default_factory=dict, repr=False)
+
+    def __post_init__(self) -> None:
+        if not self.mass > 0:
+            raise FieldError("the operator requirement mass > 0", "mass")
+        # (f4) lives here rather than in NonlinearModel: the library keeps
+        # accepting flat weights (decay 0), whose models are the closed-form
+        # cases of the tests, while a run needs a vanishing weight.
+        if self.model.kind != "null" and not self.model.weight.decay_rate > 0:
+            raise FieldError("(f4) requires a vanishing weight (decay > 0)",
+                             "model.weight.decay_rate", "model.kind")
+        if not self.solve_a > 0:
+            raise FieldError("the mass constraint a > 0", "solve_a")
+        if self.multi_k < 1:
+            raise FieldError("the requirement k >= 1", "multi_k")
+        if self.format_version != FORMAT_VERSION:
+            raise FieldError(f"the only written format version {FORMAT_VERSION}",
+                             "format_version")
 
 
-_DEFAULTS: dict[str, str] = {
-    "grid.n_per_axis": "24",
-    "grid.box_length": "16.0",
-    "physics.mass": "1.0",
-    "model.kind": "pure_power",
-    "model.p": "2.5",
-    "model.q": "2.5",
-    "model.weight_amplitude": "1.0",
-    "model.weight_decay": "0.2",
-    "model.weight_form": "inverse_poly",
-    "model.growth_alpha": "2.5",
-    "model.tau": "0.2",
-    "model.lower_const": "",
-    "model.t0": "1.0",
-    "model.cone_center": "2,0,0",
-    "model.cone_radius": "1.0",
-    **{
-        f"solver.{f.name}": "" if f.default is None else str(f.default)
-        for f in fields(SolverOptions)
-    },
-    "solve.a": "0.1",
-    "sweep.a_values": "0.2,0.14,0.1,0.07,0.05",
-    "subspace.k_list": "1,2,3",
-    "subspace.n_ladder": "2,4,8,16",
-    "subspace.sample_density": "64",
-    "multi.k": "2",
-    "output.dir": "out",
-    "output.format_version": "1",
+#: Configuration key -> attribute path in RunConfig.
+CONFIG_KEYS = {
+    **{f"grid.{f.name}": f"grid.{f.name}" for f in fields(Grid)},
+    "physics.mass": "mass",
+    **{f"model.{f.name}": f"model.{f.name}" for f in fields(NonlinearModel)
+       if f.name != "weight"},
+    "model.weight_amplitude": "model.weight.amplitude",
+    "model.weight_decay": "model.weight.decay_rate",
+    "model.weight_form": "model.weight.form",
+    **{f"solver.{f.name}": f"solver.{f.name}" for f in fields(SolverOptions)},
+    "solve.a": "solve_a",
+    "sweep.a_values": "sweep_a_values",
+    "subspace.k_list": "subspace_k_list",
+    "subspace.n_ladder": "subspace_n_ladder",
+    "subspace.sample_density": "subspace_density",
+    "multi.k": "multi_k",
+    "output.dir": "output_dir",
+    "output.format_version": "format_version",
 }
 
 
-def _parse_scalar(key: str, text: str, line_no: int, kind):
-    try:
-        return kind(text)
-    except ValueError as exc:
-        raise ConfigError(f"line {line_no}: {key}={text!r} is not a valid {kind.__name__}") from exc
-
-
-def _parse_list(key: str, text: str, line_no: int, kind):
-    items = [s for s in (piece.strip() for piece in text.split(",")) if s]
+def _typed(f, default, line: int, key: str, text: str):
+    """Config text of field f, typed by its default; "" or "auto" mean None
+    (derive the value) for a field whose type admits None."""
+    if "None" in str(f.type) and text in ("", "auto"):
+        return None
+    seq = isinstance(default, (list, tuple))
+    items = [s for s in (piece.strip() for piece in text.split(",")) if s] if seq else [text]
     if not items:
-        raise ConfigError(f"line {line_no}: {key} must be a nonempty comma list")
-    return [_parse_scalar(key, s, line_no, kind) for s in items]
+        raise ConfigError(f"line {line}: {key} must be a nonempty comma list")
+    kind = type(default[0]) if seq else float if default is None else type(default)
+    try:
+        values = [kind(item) for item in items]
+    except ValueError as exc:
+        raise ConfigError(f"line {line}: {key}={text!r} is not a valid {kind.__name__}") from exc
+    return type(default)(values) if seq else values[0]
+
+
+def _build(obj, prefix: str, given: dict):
+    """obj with the fields the config file set replaced, nested dataclasses
+    first; a rejection names the full attribute paths of its fields."""
+    changes = {}
+    for f in fields(obj):
+        path = prefix + f.name
+        default = getattr(obj, f.name)
+        if is_dataclass(default):
+            nested = _build(default, path + ".", given)
+            if nested is not default:
+                changes[f.name] = nested
+        elif path in given:
+            changes[f.name] = _typed(f, default, *given[path])
+    if not changes:
+        return obj
+    try:
+        return replace(obj, **changes)
+    except FieldError as exc:
+        raise FieldError(str(exc), *(prefix + name for name in exc.fields)) from exc
 
 
 def parse_config(text: str) -> RunConfig:
-    """Parse the flat key=value format with line-precise validation errors."""
-    values = dict(_DEFAULTS)
-    lines: dict[str, int] = {key: 0 for key in _DEFAULTS}
+    """Parse the flat key=value format; a rejected value cites its line."""
+    given: dict[str, tuple[int, str, str]] = {}
     for line_no, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.strip()
         if not line or line.startswith("#"):
@@ -134,109 +177,15 @@ def parse_config(text: str) -> RunConfig:
             raise ConfigError(f"line {line_no}: expected key=value, got {line!r}")
         key, _, val = line.partition("=")
         key = key.strip()
-        if key not in _DEFAULTS:
+        if key not in CONFIG_KEYS:
             raise ConfigError(f"line {line_no}: unknown configuration key {key!r}")
-        values[key] = val.strip()
-        lines[key] = line_no
-
-    def scalar(key, kind):
-        return _parse_scalar(key, values[key], lines[key], kind)
-
-    def fail(key, message):
-        raise ConfigError(f"line {lines[key]}: {key}={values[key]} violates {message}")
-
-    n_axis = scalar("grid.n_per_axis", int)
-    box = scalar("grid.box_length", float)
+        given[CONFIG_KEYS[key]] = (line_no, key, val.strip())
     try:
-        grid = Grid(n_axis, box)
-    except ValueError as exc:
-        raise ConfigError(f"line {lines['grid.n_per_axis']}: {exc}") from exc
-    mass = scalar("physics.mass", float)
-    if not mass > 0:
-        fail("physics.mass", "the operator requirement mass > 0")
-
-    kind = values["model.kind"]
-    p = scalar("model.p", float)
-    q = scalar("model.q", float)
-    alpha = scalar("model.growth_alpha", float)
-    tau = scalar("model.tau", float)
-    if kind != "null":
-        if not (2.0 < p <= q < 3.0):
-            fail("model.p", f"(f3) requires 2 < p <= q < 3 (got p={p}, q={q})")
-        if not (0.0 < alpha < 8.0 / 3.0):
-            fail("model.growth_alpha", "(f5) requires alpha in (0, 8/3)")
-        tau_hi = (8.0 - 3.0 * alpha) / 2.0
-        if not (0.0 < tau < tau_hi):
-            fail("model.tau", f"(f5) requires tau in (0, (8-3*alpha)/2) = (0, {tau_hi:g})")
-    decay = scalar("model.weight_decay", float)
-    if kind != "null" and not decay > 0:
-        fail("model.weight_decay", "(f4) requires a vanishing weight (decay > 0)")
-    lower_raw = values["model.lower_const"]
-    lower = None if lower_raw == "" else _parse_scalar(
-        "model.lower_const", lower_raw, lines["model.lower_const"], float
-    )
-    center = _parse_list("model.cone_center", values["model.cone_center"],
-                         lines["model.cone_center"], float)
-    if len(center) != 3:
-        fail("model.cone_center", "the cone center must have three components")
-    try:
-        model = NonlinearModel(
-            kind=kind,
-            p=p,
-            q=q,
-            weight=WeightSpec(
-                amplitude=scalar("model.weight_amplitude", float),
-                decay_rate=decay,
-                form=values["model.weight_form"],
-            ),
-            growth_alpha=alpha,
-            tau=tau,
-            lower_const=lower,
-            t0=scalar("model.t0", float),
-            cone_center=tuple(center),
-            cone_radius=scalar("model.cone_radius", float),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"line {lines['model.kind']}: {exc}") from exc
-
-    solver_args = {}
-    for f in fields(SolverOptions):
-        key = f"solver.{f.name}"
-        auto = f.name == "a_max" and values[key] in ("", "auto")
-        solver_args[f.name] = None if auto else scalar(key, type(f.default))
-    try:
-        solver = SolverOptions(**solver_args)
-    except ValueError as exc:
-        raise ConfigError(f"line {lines['solver.tol_grad']}: {exc}") from exc
-
-    solve_a = scalar("solve.a", float)
-    if not solve_a > 0:
-        fail("solve.a", "the mass constraint a > 0")
-    sweep_vals = _parse_list("sweep.a_values", values["sweep.a_values"],
-                             lines["sweep.a_values"], float)
-    k_list = _parse_list("subspace.k_list", values["subspace.k_list"],
-                         lines["subspace.k_list"], int)
-    n_ladder = _parse_list("subspace.n_ladder", values["subspace.n_ladder"],
-                           lines["subspace.n_ladder"], float)
-    density = scalar("subspace.sample_density", int)
-    multi_k = scalar("multi.k", int)
-    if multi_k <= 0:
-        fail("multi.k", "the requirement k >= 1")
-    return RunConfig(
-        grid=grid,
-        mass=mass,
-        model=model,
-        solver=solver,
-        solve_a=solve_a,
-        sweep_a_values=sweep_vals,
-        subspace_k_list=k_list,
-        subspace_n_ladder=n_ladder,
-        subspace_density=density,
-        multi_k=multi_k,
-        output_dir=values["output.dir"],
-        format_version=scalar("output.format_version", int),
-        raw=values,
-    )
+        return _build(RunConfig(), "", given)
+    except FieldError as exc:
+        cited = sorted(given[path] for path in exc.fields if path in given)
+        where = ", ".join(f"line {line}: {key}={text}" for line, key, text in cited)
+        raise ConfigError(f"{where} violates {exc}") from exc
 
 
 def load_config(path: str | Path) -> RunConfig:
@@ -353,12 +302,9 @@ def cmd_check(cfg: RunConfig, out_dir: Path, quiet: bool) -> int:
         lines.append(f"[{'PASS' if passed else 'FAIL'}] {name}: {detail}")
 
     # projector algebra over random lattice frequencies
-    count = 2000
-    freqs = cfg.grid.freq_axis
-    idx = rng.integers(0, cfg.grid.n_per_axis, size=(count, 3))
-    xi = freqs[idx]
+    idx = rng.integers(0, cfg.grid.n_per_axis, size=(200, 3))
     worst = 0.0
-    for row in xi[:200]:
+    for row in cfg.grid.freq_axis[idx]:
         p_plus, p_minus = spectral_projectors(row, space.symbol)
         sym = dirac_symbol_at(row, space.symbol)
         lam = space.symbol.band_energy(row)
@@ -402,18 +348,14 @@ def cmd_check(cfg: RunConfig, out_dir: Path, quiet: bool) -> int:
            f"worst sampled second difference {worst_margin:.4f} (need <= -0.25)")
 
     # energy drop from the ball center to the ball boundary
-    from .reduction import h_map
-    from .reduction import energy as _energy
-    from .spectral_core import SpinorField as _SF
-
     drops = []
     for _ in range(5):
         v = random_field(space, rng, bandwidth=1.0, part="plus", target_l2=a)
         w = random_field(space, rng, bandwidth=1.0, part="minus")
         w = w * ((1.0 - 1e-9) * minus_ball_radius(space, a) / e_norm(w))
         drops.append(
-            _energy(cfg.model, h_map(v, _SF.zeros(space)))
-            - _energy(cfg.model, h_map(v, w))
+            energy(cfg.model, h_map(v, SpinorField.zeros(space)))
+            - energy(cfg.model, h_map(v, w))
         )
     worst_drop = min(drops)
     floor = cfg.mass * a * a / 16.0 - 1e-3 * a * a
@@ -425,17 +367,12 @@ def cmd_check(cfg: RunConfig, out_dir: Path, quiet: bool) -> int:
     for _ in range(3):
         v = random_field(space, rng, bandwidth=1.0, part="plus", target_l2=a)
         st = evaluate_reduced(cfg.model, v, tol=1e-11 * a)
-        z = random_field(space, rng, bandwidth=1.0, part="plus", target_l2=a)
-        from .reduction import tangent_project
-        from .spectral_core import e_inner
-
-        z = tangent_project(v, z)
+        z = tangent_project(v, random_field(space, rng, bandwidth=1.0, part="plus", target_l2=a))
         t = 1e-5
         ratio = np.sqrt(max(1.0 - t * t * l2_norm(z) ** 2 / a**2, 0.0))
         jp = evaluate_reduced(cfg.model, ratio * v + t * z, tol=1e-11 * a,
                               need_gradient=False).j_val
-        ratio_m = np.sqrt(max(1.0 - t * t * l2_norm(z) ** 2 / a**2, 0.0))
-        jm = evaluate_reduced(cfg.model, ratio_m * v - t * z, tol=1e-11 * a,
+        jm = evaluate_reduced(cfg.model, ratio * v - t * z, tol=1e-11 * a,
                               need_gradient=False).j_val
         fd = (jp - jm) / (2 * t)
         an = e_inner(st.grad_tangent, z)
@@ -488,8 +425,6 @@ SWEEP_COLUMNS = [
 
 def cmd_sweep(cfg: RunConfig, out_dir: Path, quiet: bool) -> int:
     space = DiracSpace(cfg.grid, cfg.mass)
-    if not cfg.sweep_a_values:
-        raise ConfigError("sweep.a_values is empty")
     result = bifurcation_sweep(cfg.model, cfg.sweep_a_values, cfg.solver, space)
     m = cfg.mass
     rows = []
@@ -621,9 +556,6 @@ def main(argv: list[str] | None = None) -> int:
     }
     try:
         return commands[args.command](cfg, out_dir, args.quiet)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
     except Exception as exc:  # solver failures map to exit 1 with diagnostics
         out_dir.mkdir(parents=True, exist_ok=True)
         (out_dir / "diagnostics.txt").write_text(f"{type(exc).__name__}: {exc}\n")

@@ -29,7 +29,7 @@ from functools import lru_cache
 import numpy as np
 from numpy.typing import NDArray
 
-from .spectral_core import Grid, SpinorField, l2_inner
+from .spectral_core import FieldError, Grid, SpinorField, l2_inner
 
 ArrayF = NDArray[np.float64]
 
@@ -52,11 +52,14 @@ class WeightSpec:
 
     def __post_init__(self) -> None:
         if not self.amplitude > 0:
-            raise ValueError(f"weight amplitude must be positive, got {self.amplitude}")
+            raise FieldError(f"weight amplitude must be positive, got {self.amplitude}",
+                             "amplitude")
         if self.decay_rate < 0:
-            raise ValueError(f"weight decay_rate must be nonnegative, got {self.decay_rate}")
+            raise FieldError(f"weight decay_rate must be nonnegative, got {self.decay_rate}",
+                             "decay_rate")
         if self.form not in WEIGHT_FORMS:
-            raise ValueError(f"weight form must be one of {WEIGHT_FORMS}, got {self.form!r}")
+            raise FieldError(f"weight form must be one of {WEIGHT_FORMS}, got {self.form!r}",
+                             "form")
 
     def value_r2(self, r2) -> ArrayF:
         """Weight evaluated from squared radius |x|^2 (scalar or array)."""
@@ -92,45 +95,55 @@ class NonlinearModel:
 
     def __post_init__(self) -> None:
         if self.kind not in MODEL_KINDS:
-            raise ValueError(f"model kind must be one of {MODEL_KINDS}, got {self.kind!r}")
+            raise FieldError(f"model kind must be one of {MODEL_KINDS}, got {self.kind!r}",
+                             "kind")
+        if len(self.cone_center) != 3:
+            raise FieldError("the cone center must have three components", "cone_center")
         if self.kind == "null":
             return
         if not (2.0 < self.p <= self.q < 3.0):
-            raise ValueError(
-                f"(f3) requires 2 < p <= q < 3 (got p={self.p}, q={self.q})"
+            raise FieldError(
+                f"(f3) requires 2 < p <= q < 3 (got p={self.p}, q={self.q})", "p", "q"
             )
         if not (0.0 < self.growth_alpha < 8.0 / 3.0):
-            raise ValueError(
-                f"(f5) requires alpha in (0, 8/3) (got alpha={self.growth_alpha})"
+            raise FieldError(
+                f"(f5) requires alpha in (0, 8/3) (got alpha={self.growth_alpha})",
+                "growth_alpha",
             )
         if self.growth_alpha < self.p:
-            raise ValueError(
+            raise FieldError(
                 "(f5) lower bound fails as t -> 0 unless alpha >= p "
-                f"(got alpha={self.growth_alpha}, p={self.p})"
+                f"(got alpha={self.growth_alpha}, p={self.p})",
+                "growth_alpha", "p",
             )
         tau_hi = (8.0 - 3.0 * self.growth_alpha) / 2.0
         if not (0.0 < self.tau < tau_hi):
-            raise ValueError(
+            raise FieldError(
                 f"(f5) requires tau in (0, (8-3*alpha)/2) = (0, {tau_hi:g}) "
-                f"(got tau={self.tau})"
+                f"(got tau={self.tau})",
+                "tau", "growth_alpha",
             )
         if self.weight.form == "inverse_poly" and self.weight.decay_rate > self.tau:
-            raise ValueError(
+            raise FieldError(
                 "(f5) cone bound needs weight decay <= tau for the inverse_poly "
-                f"form (got decay={self.weight.decay_rate}, tau={self.tau})"
+                f"form (got decay={self.weight.decay_rate}, tau={self.tau})",
+                "weight.decay_rate", "tau", "weight.form",
             )
         if not self.t0 > 0:
-            raise ValueError(f"t0 must be positive, got {self.t0}")
+            raise FieldError(f"t0 must be positive, got {self.t0}", "t0")
         if not self.cone_radius > 0:
-            raise ValueError(f"cone_radius must be positive, got {self.cone_radius}")
+            raise FieldError(f"cone_radius must be positive, got {self.cone_radius}",
+                             "cone_radius")
         x0 = np.asarray(self.cone_center, dtype=float)
         if not self.cone_radius < float(np.linalg.norm(x0)):
-            raise ValueError(
+            raise FieldError(
                 "(f5) cone geometry requires d < |x0| "
-                f"(got d={self.cone_radius}, |x0|={np.linalg.norm(x0):g})"
+                f"(got d={self.cone_radius}, |x0|={np.linalg.norm(x0):g})",
+                "cone_radius", "cone_center",
             )
         if self.lower_const is not None and not self.lower_const > 0:
-            raise ValueError(f"lower_const must be positive, got {self.lower_const}")
+            raise FieldError(f"lower_const must be positive, got {self.lower_const}",
+                             "lower_const")
 
     @property
     def tag(self) -> str:

@@ -305,7 +305,8 @@ class ReducedState:
     v: SpinorField
     a: float
     w: SpinorField
-    g: SpinorField
+    g: SpinorField  # fiber maximizer h_map(v, w)
+    fu: SpinorField  # f(|g|) g, as the inner solve left it
     kappa_val: float
     j_val: float
     inner_residual: float
@@ -326,7 +327,7 @@ def tangent_project(v: SpinorField, raw: SpinorField) -> SpinorField:
     return raw - mu * s
 
 
-def attach_gradient(model: NonlinearModel, state: ReducedState) -> ReducedState:
+def attach_gradient(state: ReducedState) -> ReducedState:
     """Fill in the sphere-tangent gradient of the reduced value at state.v.
 
     The derivative along a tangent direction z equals
@@ -334,8 +335,7 @@ def attach_gradient(model: NonlinearModel, state: ReducedState) -> ReducedState:
     tangent-projected plus-part riesz lift of the residual, scaled by the
     fiber coefficient sqrt(a^2 - |w|_2^2)/a.
     """
-    fu = psi_gradient(model, state.g)
-    residual = apply_h0(state.g) - fu - state.kappa_val * state.g
+    residual = apply_h0(state.g) - state.fu - state.kappa_val * state.g
     raw = state.fiber_coeff * riesz_plus(residual)
     state.grad_tangent = tangent_project(state.v, raw)
     return state
@@ -362,6 +362,7 @@ def evaluate_reduced(
         a=fiber_a,
         w=res.w_star,
         g=res.maximizer,
+        fu=res.fu,
         kappa_val=res.kappa_val,
         j_val=j,
         inner_residual=res.certificate.grad_norm,
@@ -369,7 +370,7 @@ def evaluate_reduced(
         fiber_coeff=res.coeff,
     )
     if need_gradient:
-        attach_gradient(model, state)
+        attach_gradient(state)
     return state
 
 

@@ -15,7 +15,7 @@ reach further critical points.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -23,6 +23,7 @@ from .nonlinearity import NonlinearModel
 from .reduction import (
     ReducedState,
     SmallnessError,
+    attach_gradient,
     evaluate_reduced,
     kappa,
     minus_ball_radius,
@@ -32,6 +33,7 @@ from .reduction import (
 )
 from .spectral_core import (
     DiracSpace,
+    FieldError,
     SpinorField,
     e_inner,
     e_norm,
@@ -74,18 +76,15 @@ class SolverOptions:
     seed: int = 20240
 
     def __post_init__(self) -> None:
-        for name in ("tol_grad", "tol_inner", "step_init"):
+        for name in ("tol_grad", "tol_inner", "step_init", "max_outer", "max_inner"):
             if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive")
-        for name in ("max_outer", "max_inner"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive")
+                raise FieldError(f"{name} must be positive", name)
         if not (0.0 < self.armijo_c < 1.0):
-            raise ValueError("armijo_c must lie in (0, 1)")
+            raise FieldError("armijo_c must lie in (0, 1)", "armijo_c")
         if self.a_max is not None and not self.a_max > 0:
-            raise ValueError("a_max must be positive when given")
+            raise FieldError("a_max must be positive when given", "a_max")
         if self.deflation_strength < 0:
-            raise ValueError("deflation_strength must be nonnegative")
+            raise FieldError("deflation_strength must be nonnegative", "deflation_strength")
 
 
 @dataclass
@@ -362,9 +361,6 @@ def minimize_on_sphere(
     iterations = 0
     stall = None
 
-    from .reduction import attach_gradient
-    from .spectral_core import e_inner
-
     qn = _QuasiNewton(space)
     grad = _search_direction(state, centers, strength)
     stagnant = 0
@@ -396,6 +392,9 @@ def minimize_on_sphere(
             if not in_plus_cone(v_try):
                 step *= 0.5
                 continue
+            # a rejected trial (and the f(|u|)u it carries) is not held
+            # through the next evaluation
+            state_try = None
             state_try = evaluate_reduced(
                 model,
                 v_try,
@@ -424,7 +423,7 @@ def minimize_on_sphere(
                 break
         else:
             stagnant = 0
-        state_new = attach_gradient(model, state_try)
+        state_new = attach_gradient(state_try)
         grad_new = _search_direction(state_new, centers, strength)
         qn.push(state_new.v - v, grad_new - grad)
         v, state, grad = state_new.v, state_new, grad_new
@@ -593,11 +592,9 @@ def multi_start_deflated(
     for _ in range(extra_random_starts):
         starts.append(random_field(space, rng, bandwidth=1.0, part="plus", target_l2=a))
 
-    import dataclasses as _dc
-
     # deflated runs only need to leave known basins; the undeflated polish
     # afterwards carries the full budget
-    opts_deflated = _dc.replace(opts, max_outer=min(300, opts.max_outer))
+    opts_deflated = replace(opts, max_outer=min(300, opts.max_outer))
     centers: list[SpinorField] = []
     all_records: list[SolutionRecord] = []
     verified: list[SolutionRecord] = []

@@ -56,6 +56,18 @@ ALPHA: ArrayC = _alpha_matrices()
 BETA: ArrayC = np.diag([1.0, 1.0, -1.0, -1.0]).astype(np.complex128)
 
 
+class FieldError(ValueError):
+    """A dataclass rejected a field value.
+
+    ``fields`` names the fields the violated condition involves, dotted for
+    fields of nested dataclasses (``"weight.decay_rate"``).
+    """
+
+    def __init__(self, message: str, *fields: str):
+        super().__init__(message)
+        self.fields = fields
+
+
 @dataclass(frozen=True)
 class DiracSymbol:
     """Mass of the first-order symbol alpha.xi + m beta (matrices ALPHA, BETA).
@@ -68,7 +80,7 @@ class DiracSymbol:
 
     def __post_init__(self) -> None:
         if self.mass < 0:
-            raise ValueError(f"mass must be nonnegative, got {self.mass}")
+            raise FieldError(f"mass must be nonnegative, got {self.mass}", "mass")
 
     def band_energy(self, xi) -> float:
         """lambda(xi) = sqrt(|xi|^2 + m^2)."""
@@ -114,11 +126,14 @@ class Grid:
 
     def __post_init__(self) -> None:
         if self.n_per_axis <= 0 or self.n_per_axis % 2 != 0:
-            raise ValueError(
-                f"n_per_axis must be a positive even integer, got {self.n_per_axis}"
+            raise FieldError(
+                f"n_per_axis must be a positive even integer, got {self.n_per_axis}",
+                "n_per_axis",
             )
         if not self.box_length > 0:
-            raise ValueError(f"box_length must be positive, got {self.box_length}")
+            raise FieldError(
+                f"box_length must be positive, got {self.box_length}", "box_length"
+            )
 
     @property
     def spacing(self) -> float:

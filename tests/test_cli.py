@@ -1,7 +1,13 @@
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from diracnorm.cli import (
+    CONFIG_KEYS,
     ConfigError,
     dump_json,
     format_real,
@@ -10,6 +16,8 @@ from diracnorm.cli import (
     parse_config,
     save_field_snapshot,
 )
+from diracnorm.nonlinearity import NonlinearModel, WeightSpec
+from diracnorm.solver import SolverOptions
 from diracnorm.spectral_core import DiracSpace, Grid, l2_norm, random_field
 
 
@@ -197,3 +205,140 @@ def test_cli_seed_override_changes_nothing_for_fixed_problem(tmp_path):
 
 def test_cli_missing_config_file():
     assert main(["check", "--config", "/nonexistent/file.cfg"]) == 2
+
+
+# --- one source of truth: defaults and checks come from the dataclasses -----
+
+EXAMPLE_CFG = Path(__file__).resolve().parents[1] / "configs" / "example.cfg"
+
+
+@pytest.mark.parametrize(
+    "text, cited",
+    [
+        ("model.growth_alpha=2.3\n", "line 1: model.growth_alpha=2.3 violates (f5)"),
+        ("model.q=3.5\n", "line 1: model.q=3.5 violates (f3)"),
+        ("solver.max_outer=0\n", "line 1: solver.max_outer=0 violates"),
+        ("grid.box_length=-1\n", "line 1: grid.box_length=-1 violates"),
+        ("# c\nsolver.armijo_c=2\n", "line 2: solver.armijo_c=2 violates"),
+        ("model.kind=pure_power\nmodel.cone_radius=5\n", "line 2: model.cone_radius=5 violates"),
+        ("model.cone_center=3,0\n", "line 1: model.cone_center=3,0 violates"),
+    ],
+)
+def test_rejection_cites_the_line_of_the_value(text, cited):
+    with pytest.raises(ConfigError) as info:
+        parse_config(text)
+    assert str(info.value).startswith(cited)
+    assert "line 0" not in str(info.value)
+
+
+def test_rejection_cites_every_involved_line():
+    with pytest.raises(ConfigError) as info:
+        parse_config("model.p=2.6\nsolve.a=0.1\nmodel.q=2.55\n")
+    assert str(info.value).startswith("line 1: model.p=2.6, line 3: model.q=2.55 violates (f3)")
+
+
+def test_rejects_unwritable_format_version(tmp_path):
+    with pytest.raises(ConfigError, match="line 1: output.format_version=7"):
+        parse_config("output.format_version=7\n")
+    assert main(["solve", "--config", _write(tmp_path, "output.format_version=7\n")]) == 2
+    assert parse_config("output.format_version=1\n").format_version == 1
+
+
+def test_auto_and_empty_derive_nullable_fields():
+    for text in ("", "auto"):
+        cfg = parse_config(f"model.lower_const={text}\nsolver.a_max={text}\n")
+        assert cfg.model.lower_const is None
+        assert cfg.solver.a_max is None
+    with pytest.raises(ConfigError, match="line 1"):
+        parse_config("model.t0=auto\n")
+
+
+def test_example_config_sets_every_key_at_its_default():
+    text = EXAMPLE_CFG.read_text()
+    keys = [
+        line.partition("=")[0].strip()
+        for line in text.splitlines()
+        if line.strip() and not line.strip().startswith("#")
+    ]
+    assert sorted(keys) == sorted(CONFIG_KEYS)
+    assert len(keys) == len(CONFIG_KEYS) == 32
+    assert parse_config(text) == parse_config("")
+
+
+def _floats(lo, hi):
+    return st.floats(lo, hi, allow_nan=False)
+
+
+#: model.* and solver.* keys with values drawn around their admissible windows.
+OVERRIDES = {
+    "model.kind": st.sampled_from(["pure_power", "two_power", "null"]),
+    "model.p": _floats(1.9, 3.1),
+    "model.q": _floats(1.9, 3.1),
+    "model.weight_amplitude": _floats(-0.5, 2.0),
+    "model.weight_decay": st.sampled_from([0.0, -0.1]) | _floats(-0.2, 0.6),
+    "model.weight_form": st.sampled_from(["inverse_poly", "bump", "gauss"]),
+    "model.growth_alpha": _floats(1.9, 2.8),
+    "model.tau": _floats(-0.1, 0.7),
+    "model.lower_const": st.none() | _floats(-0.5, 2.0),
+    "model.t0": _floats(-0.5, 2.0),
+    "model.cone_center": st.lists(_floats(-3.0, 3.0), min_size=1, max_size=4),
+    "model.cone_radius": _floats(-0.5, 3.0),
+    "solver.tol_grad": _floats(-1e-8, 1e-7),
+    "solver.max_outer": st.integers(-2, 5),
+    "solver.armijo_c": _floats(-0.5, 1.5),
+    "solver.a_max": st.none() | _floats(-0.1, 0.5),
+    "solver.deflation_strength": _floats(-1e-6, 1e-6),
+}
+
+#: Config key -> (constructor, keyword) of the direct build.
+DIRECT = {
+    "model.weight_amplitude": ("weight", "amplitude"),
+    "model.weight_decay": ("weight", "decay_rate"),
+    "model.weight_form": ("weight", "form"),
+}
+
+
+def _text(value):
+    if value is None:
+        return "auto"
+    if isinstance(value, list):
+        return ",".join(repr(v) for v in value)
+    return value if isinstance(value, str) else repr(value)
+
+
+def _build_directly(overrides):
+    """The model and solver options the library builds from the overrides,
+    or None when a library check rejects them."""
+    args = {"weight": {}, "model": {}, "solver": {}}
+    for key, value in overrides.items():
+        section, name = DIRECT.get(key, tuple(key.split(".")))
+        args[section][name] = tuple(value) if isinstance(value, list) else value
+    try:
+        model = NonlinearModel(weight=WeightSpec(**args["weight"]), **args["model"])
+        return model, SolverOptions(**args["solver"])
+    except ValueError:
+        return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    overrides=st.fixed_dictionaries({}, optional=OVERRIDES),
+    header=st.integers(0, 3),
+)
+def test_parser_rejects_exactly_what_the_library_rejects(overrides, header):
+    lines = ["# comment"] * header + [f"{k}={_text(v)}" for k, v in overrides.items()]
+    line_of = {key: header + 1 + i for i, key in enumerate(overrides)}
+    built = _build_directly(overrides)
+    # (f4), the one rule beyond the library: a run needs a vanishing weight
+    f4 = built is not None and built[0].kind != "null" and not built[0].weight.decay_rate > 0
+    try:
+        cfg = parse_config("\n".join(lines) + "\n")
+    except ConfigError as exc:
+        assert built is None or f4, f"rejected what the library accepts: {exc}"
+        cited = re.findall(r"line (\d+): ([\w.]+)=", str(exc))
+        assert cited, str(exc)
+        for line, key in cited:
+            assert line_of.get(key) == int(line), str(exc)
+        return
+    assert built is not None and not f4, "accepted what the library rejects"
+    assert (cfg.model, cfg.solver) == built

@@ -186,3 +186,9 @@ def test_weight_vanishes_at_infinity():
 def test_model_tags():
     assert null_model().tag == "null"
     assert "pure_power" in pure_power(2.5).tag
+
+
+def test_cone_center_needs_three_components():
+    for kind in ("pure_power", "null"):
+        with pytest.raises(ValueError, match="three components"):
+            NonlinearModel(kind=kind, cone_center=(3.0, 0.0))

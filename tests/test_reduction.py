@@ -425,3 +425,13 @@ def test_scaled_subspace_candidate_dips_below_half_level(desk_space):
         v = normalized(split(u).plus, a)
         best = min(best, reduced_value(model, v, tol=1e-10 * a))
     assert best < 0.5 * m * a * a
+
+
+def test_reduced_state_keeps_the_inner_nonlinear_gradient(space12, rng):
+    """attach_gradient reuses f(|g|) g from the inner solve; it must be the
+    field psi_gradient gives for the maximizer."""
+    from diracnorm import psi_gradient
+
+    model = pure_power(2.5)
+    state = evaluate_reduced(model, _plus(space12, rng, 0.1), need_gradient=False)
+    assert np.array_equal(state.fu.values, psi_gradient(model, state.g).values)
