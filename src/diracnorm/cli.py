@@ -179,6 +179,10 @@ def parse_config(text: str) -> RunConfig:
         key = key.strip()
         if key not in CONFIG_KEYS:
             raise ConfigError(f"line {line_no}: unknown configuration key {key!r}")
+        if CONFIG_KEYS[key] in given:
+            first, _, first_text = given[CONFIG_KEYS[key]]
+            raise ConfigError(f"line {line_no}: {key}={val.strip()} repeats "
+                              f"line {first}: {key}={first_text}")
         given[CONFIG_KEYS[key]] = (line_no, key, val.strip())
     try:
         return _build(RunConfig(), "", given)
@@ -271,6 +275,7 @@ def record_to_dict(rec: SolutionRecord, cfg: RunConfig, snapshot_name: str | Non
         "in_x_a": rec.in_x_a,
         "converged": rec.converged,
         "iterations": rec.iterations,
+        "stall_reason": rec.stall_reason,
         "omega_gap_const": rec.omega_gap_const,
         "model_tag": rec.model_tag,
         "seed": cfg.solver.seed,
@@ -396,25 +401,28 @@ def cmd_solve(cfg: RunConfig, out_dir: Path, quiet: bool) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     try:
         rec = minimize_on_sphere(cfg.model, a, v0, cfg.solver)
+        snapshot = "solution.field"
+        save_field_snapshot(out_dir / snapshot, rec.u, rec.a)
     except DescentStallError as err:
         rec = err.record
-        (out_dir / "diagnostics.txt").write_text(
-            f"solve stalled: {err}\nlast level {rec.j_level!r}\n"
-        )
-        (out_dir / "solution.json").write_text(
-            dump_json(record_to_dict(rec, cfg, None))
-        )
-        _say(quiet, f"solve: stalled ({err})")
-        return 1
-    snapshot = "solution.field"
-    save_field_snapshot(out_dir / snapshot, rec.u, rec.a)
+        snapshot = None
     (out_dir / "solution.json").write_text(dump_json(record_to_dict(rec, cfg, snapshot)))
+    if not rec.converged:
+        reason = rec.stall_reason or (
+            "the gradient converged but a solution criterion failed "
+            "(residual, omega < m, J < m a^2/2 or the X_a norm cap)"
+        )
+        (out_dir / "diagnostics.txt").write_text(
+            f"solve did not converge: {reason}\nlast level {rec.j_level!r}\n"
+        )
+        _say(quiet, f"solve: not converged ({reason})")
+        return 1
     _say(
         quiet,
         f"solve: a={rec.a:g} omega={rec.omega:.10g} J={rec.j_level:.10g} "
         f"residual={rec.residual_l2:.3e} converged={rec.converged}",
     )
-    return 0 if rec.converged else 1
+    return 0
 
 
 SWEEP_COLUMNS = [

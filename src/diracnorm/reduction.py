@@ -313,16 +313,20 @@ class ReducedState:
     inner_iterations: int
     grad_tangent: SpinorField | None = None
     fiber_coeff: float = 1.0
+    riesz_v: SpinorField | None = None  # riesz_plus(v), set with the gradient
 
 
-def tangent_project(v: SpinorField, raw: SpinorField) -> SpinorField:
+def tangent_project(
+    v: SpinorField, raw: SpinorField, riesz_v: SpinorField | None = None
+) -> SpinorField:
     """e-metric orthogonal projection of a plus field onto the sphere tangent.
 
     The tangent space at v on the L2 sphere is the kernel of
     z -> l2_inner(v, z); its e-orthogonal complement is spanned by
     riesz_plus(v), so subtract the unique multiple restoring l2 orthogonality.
+    A caller projecting several fields at one v passes riesz_plus(v) once.
     """
-    s = riesz_plus(v)
+    s = riesz_plus(v) if riesz_v is None else riesz_v
     mu = l2_inner(v, raw) / l2_inner(v, s)
     return raw - mu * s
 
@@ -337,7 +341,8 @@ def attach_gradient(state: ReducedState) -> ReducedState:
     """
     residual = apply_h0(state.g) - state.fu - state.kappa_val * state.g
     raw = state.fiber_coeff * riesz_plus(residual)
-    state.grad_tangent = tangent_project(state.v, raw)
+    state.riesz_v = riesz_plus(state.v)
+    state.grad_tangent = tangent_project(state.v, raw, state.riesz_v)
     return state
 
 

@@ -63,6 +63,10 @@ class SolverOptions:
     tol_grad is relative to the mass a.  The practical floor of a monotone
     line search sits near sqrt(eps * J) ~ 1.5e-8 * a in double precision, so
     tolerances below ~2e-8 cannot be certified by descent.
+
+    step_init is both the first trial step of the outer line search and the
+    cap on later ones: each search opens at min(2 * last accepted step,
+    step_init).
     """
 
     tol_grad: float = 5e-8
@@ -204,7 +208,7 @@ def _search_direction(state: ReducedState, centers, strength) -> SpinorField:
     grad = state.grad_tangent
     extra = _deflation_gradient_raw(state.v, centers, strength)
     if extra is not None:
-        grad = grad + tangent_project(state.v, extra)
+        grad = grad + tangent_project(state.v, extra, state.riesz_v)
     return grad
 
 
@@ -258,7 +262,7 @@ class _QuasiNewton:
         for (s, y, rho), alpha in zip(self.pairs, reversed(alphas)):
             beta = rho * e_inner(y, q)
             q = q + (alpha - beta) * s
-        return tangent_project(state.v, q)
+        return tangent_project(state.v, q, state.riesz_v)
 
 
 def _build_record(
@@ -387,7 +391,7 @@ def minimize_on_sphere(
                 direction = qn.direction(state, grad)
                 slope = e_inner(direction, grad)
                 threshold = max(slope, gnorm * gnorm)
-                step = 1.0
+                step = opts.step_init
             v_try = retract_to_sphere(v - step * direction, a)
             if not in_plus_cone(v_try):
                 step *= 0.5
@@ -436,9 +440,21 @@ def minimize_on_sphere(
                 f"iterate left the admissible norm cap: e_norm(v)^2={e_norm(v)**2:.6e} "
                 f"> {cap:.6e}; a={a:g} is too large"
             )
-        step = min(step * 2.0, 4.0)
+        # a quasi-Newton step has natural length one: never open a search
+        # above step_init, where a trial is rejected and its inner solve wasted
+        step = min(2.0 * step, opts.step_init)
+    reason = stall
+    if not grad_converged and stall is None:
+        # the gradient of the last accepted step has not been tested yet
+        gnorm = e_norm(grad)
+        grad_converged = gnorm <= opts.tol_grad * a
+        if not grad_converged:
+            reason = (
+                f"outer budget max_outer={opts.max_outer} exhausted at gradient "
+                f"norm {gnorm:.3e} (tol {opts.tol_grad * a:.3e})"
+            )
     record = _build_record(
-        model, state, opts, iterations, grad_converged, history, stall_reason=stall
+        model, state, opts, iterations, grad_converged, history, stall_reason=reason
     )
     if stall is not None:
         raise DescentStallError(stall, record)

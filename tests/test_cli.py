@@ -237,6 +237,26 @@ def test_rejection_cites_every_involved_line():
     assert str(info.value).startswith("line 1: model.p=2.6, line 3: model.q=2.55 violates (f3)")
 
 
+def test_rejects_a_repeated_key_citing_both_lines(tmp_path):
+    with pytest.raises(ConfigError) as info:
+        parse_config("model.p=2.2\nmodel.p=2.4\n")
+    assert str(info.value) == "line 2: model.p=2.4 repeats line 1: model.p=2.2"
+    assert main(["check", "--config", _write(tmp_path, "solve.a=0.1\n# c\nsolve.a=0.2\n")]) == 2
+    assert parse_config(EXAMPLE_CFG.read_text()) == parse_config("")
+
+
+def test_cmd_solve_names_an_exhausted_outer_budget(tmp_path):
+    import json
+
+    out = tmp_path / "out"
+    cfg = _write(tmp_path, SMALL.replace("max_outer=500", "max_outer=2") + f"output.dir={out}\n")
+    assert main(["solve", "--config", cfg, "--quiet"]) == 1
+    rec = json.loads((out / "solution.json").read_text())
+    assert rec["converged"] is False
+    assert rec["stall_reason"].startswith("outer budget max_outer=2 exhausted at gradient norm")
+    assert rec["stall_reason"] in (out / "diagnostics.txt").read_text()
+
+
 def test_rejects_unwritable_format_version(tmp_path):
     with pytest.raises(ConfigError, match="line 1: output.format_version=7"):
         parse_config("output.format_version=7\n")

@@ -13,6 +13,7 @@ from diracnorm import (
     null_model,
     pure_power,
 )
+import diracnorm.solver as solver_module
 from diracnorm.reduction import SmallnessError
 from diracnorm.solver import _family_groups, default_initial_guess
 
@@ -175,3 +176,30 @@ def test_initial_guess_is_admissible(space16):
     v0 = default_initial_guess(space16, model, 0.1)
     assert np.isclose(l2_norm(v0), 0.1, rtol=1e-12)
     assert e_norm(v0) < np.sqrt(space16.mass + 1.0) * l2_norm(v0)
+
+
+def test_line_search_opens_at_an_acceptable_step(space12, monkeypatch):
+    # each accepted step costs one reduced evaluation; a search that opens
+    # above step_init pays a rejected trial (a full inner solve) on most steps
+    calls = []
+    evaluate = solver_module.evaluate_reduced
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return evaluate(*args, **kwargs)
+
+    monkeypatch.setattr(solver_module, "evaluate_reduced", counted)
+    model = pure_power(2.5)
+    a = 0.1
+    rec = minimize_on_sphere(model, a, default_initial_guess(space12, model, a), SolverOptions())
+    assert rec.converged
+    assert len(calls) <= rec.iterations + 3
+
+
+def test_deflated_starts_converge_within_budget(space12):
+    res = multi_start_deflated(pure_power(2.5), 0.1, 2, SolverOptions(), space12)
+    assert len(res.all_records) == 4
+    for rec in res.all_records:
+        assert rec.converged
+        assert rec.iterations < 300
+        assert rec.stall_reason is None
