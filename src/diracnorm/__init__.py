@@ -1,12 +1,11 @@
 """Pseudospectral solver for L2-normalized solitary waves of a nonlinear
 Dirac equation on a periodic box."""
 
+from .invariants import check_growth
 from .nonlinearity import (
-    GrowthReport,
     NonlinearModel,
     WeightSpec,
     F_value,
-    check_growth,
     f_prime,
     f_value,
     null_model,

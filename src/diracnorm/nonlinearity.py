@@ -220,7 +220,19 @@ def _F_w(model: NonlinearModel, w, t) -> ArrayF:
     return w * (t**model.p / model.p + t**model.q / model.q)
 
 
-def _f_prime_w(model: NonlinearModel, w, t) -> ArrayF:
+def f_value(model: NonlinearModel, x, t) -> ArrayF:
+    """f(x, t); x is a 3-vector or (..., 3) array, t broadcasts against it."""
+    return _f_w(model, model.weight.value_at(x), t)
+
+
+def F_value(model: NonlinearModel, x, t) -> ArrayF:
+    """Potential F(x, t) = int_0^t f(x, s) s ds (exact closed form)."""
+    return _F_w(model, model.weight.value_at(x), t)
+
+
+def f_prime(model: NonlinearModel, x, t) -> ArrayF:
+    """Partial derivative of f in t; defined for t > 0."""
+    w = model.weight.value_at(x)
     t = np.asarray(t, dtype=float)
     if model.kind == "null":
         return np.zeros(np.broadcast_shapes(np.shape(w), t.shape))
@@ -232,26 +244,6 @@ def _f_prime_w(model: NonlinearModel, w, t) -> ArrayF:
         (model.p - 2.0) * t ** (model.p - 3.0)
         + (model.q - 2.0) * t ** (model.q - 3.0)
     )
-
-
-def _r2_of(x) -> ArrayF:
-    x = np.asarray(x, dtype=float)
-    return np.sum(x * x, axis=-1)
-
-
-def f_value(model: NonlinearModel, x, t) -> ArrayF:
-    """f(x, t); x is a 3-vector or (..., 3) array, t broadcasts against it."""
-    return _f_w(model, model.weight.value_r2(_r2_of(x)), t)
-
-
-def F_value(model: NonlinearModel, x, t) -> ArrayF:
-    """Potential F(x, t) = int_0^t f(x, s) s ds (exact closed form)."""
-    return _F_w(model, model.weight.value_r2(_r2_of(x)), t)
-
-
-def f_prime(model: NonlinearModel, x, t) -> ArrayF:
-    """Partial derivative of f in t; defined for t > 0."""
-    return _f_prime_w(model, model.weight.value_r2(_r2_of(x)), t)
 
 
 def psi(model: NonlinearModel, u: SpinorField) -> float:
@@ -275,191 +267,3 @@ def psi_gradient(model: NonlinearModel, u: SpinorField) -> SpinorField:
 def psi_pairing(model: NonlinearModel, u: SpinorField, z: SpinorField) -> float:
     """Directional derivative of psi at u along z."""
     return l2_inner(psi_gradient(model, u), z)
-
-
-@dataclass
-class GrowthCheck:
-    """Outcome of one sampled inequality: worst margin relative to its scale."""
-
-    name: str
-    description: str
-    samples: int
-    worst_margin: float
-    scale: float
-    tight: bool = False
-    witness: tuple | None = None
-
-    @property
-    def passed(self) -> bool:
-        return self.worst_margin >= -1e-12 * max(self.scale, 1.0)
-
-    def line(self) -> str:
-        status = "PASS" if self.passed else "FAIL"
-        extra = " (tight)" if self.tight else ""
-        out = (
-            f"[{status}] {self.name}: worst margin {self.worst_margin:.3e} "
-            f"over {self.samples} samples (scale {self.scale:.3e}){extra}"
-        )
-        if not self.passed and self.witness is not None:
-            out += f" witness={self.witness}"
-        return out
-
-
-@dataclass
-class GrowthReport:
-    checks: list[GrowthCheck]
-
-    @property
-    def all_passed(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-    def summary(self) -> str:
-        return "\n".join(c.line() for c in self.checks)
-
-
-def check_growth(
-    model: NonlinearModel,
-    sample_count: int = 10000,
-    seed: int = 7,
-    box_half: float = 8.0,
-) -> GrowthReport:
-    """Sample-verify the growth inequalities implied by (f1)-(f5).
-
-    Checks, with worst-case margins over random (x, t) and scaling factors:
-      * derivative pinch  (p-2) f <= f' t <= (q-2) f  and positivity of f;
-      * potential pinch   f t^2 / q <= F <= f t^2 / p;
-      * scaling envelope  s^p F(x,t) <= F(x,st) <= s^q F(x,t) for s >= 1
-        (reversed on 0 < s <= 1);
-      * one-point form    r(x) s^p / q <= F(x,s) <= r(x) s^q / p for s >= 1
-        (reversed exponents on 0 < s <= 1), with r(x) = f(x, 1);
-      * upper envelope    F <= C (t^p + t^q) with C = sup r / p;
-      * cone lower bound  F >= L |x|^(-tau) t^alpha on the solid cone, t <= t0.
-    """
-    if model.kind == "null":
-        raise ValueError("growth checks need a pure_power or two_power model")
-    rng = np.random.default_rng(seed)
-    n = int(sample_count)
-    x = rng.uniform(-box_half, box_half, size=(n, 3))
-    t = np.exp(rng.uniform(np.log(1e-3), np.log(1e2), size=n))
-    w = model.weight.value_r2(_r2_of(x))
-    p, q = model.p, model.q
-
-    f = _f_w(model, w, t)
-    fp = _f_prime_w(model, w, t)
-    F = _F_w(model, w, t)
-    checks: list[GrowthCheck] = []
-
-    def _worst(arr, pts):
-        i = int(np.argmin(arr))
-        return float(arr[i]), (tuple(np.round(pts[0][i], 4)), float(pts[1][i]))
-
-    scale = float(np.max(fp * t))
-    m1, w1 = _worst(fp * t - (p - 2.0) * f, (x, t))
-    checks.append(
-        GrowthCheck(
-            "derivative-pinch-lower",
-            "(p-2) f <= f' t",
-            n,
-            m1,
-            scale,
-            tight=(model.kind == "pure_power"),
-            witness=w1 if m1 < 0 else None,
-        )
-    )
-    m2, w2 = _worst((q - 2.0) * f - fp * t, (x, t))
-    checks.append(
-        GrowthCheck(
-            "derivative-pinch-upper",
-            "f' t <= (q-2) f",
-            n,
-            m2,
-            scale,
-            tight=(model.kind == "pure_power"),
-            witness=w2 if m2 < 0 else None,
-        )
-    )
-    m_pos, w_pos = _worst(f, (x, t))
-    checks.append(
-        GrowthCheck("positivity", "(f2) f(x,t) > 0 for t > 0", n, m_pos, scale,
-                    witness=w_pos if m_pos <= 0 else None)
-    )
-
-    scale_F = float(np.max(F))
-    m3, w3 = _worst(F - f * t**2 / q, (x, t))
-    checks.append(GrowthCheck("potential-pinch-lower", "f t^2 / q <= F", n, m3, scale_F,
-                              witness=w3 if m3 < 0 else None))
-    m4, w4 = _worst(f * t**2 / p - F, (x, t))
-    checks.append(GrowthCheck("potential-pinch-upper", "F <= f t^2 / p", n, m4, scale_F,
-                              witness=w4 if m4 < 0 else None))
-
-    # scaling envelope, both regimes of s
-    s_up = np.exp(rng.uniform(0.0, np.log(10.0), size=n))
-    s_dn = np.exp(rng.uniform(np.log(0.1), 0.0, size=n))
-    F_up = _F_w(model, w, s_up * t)
-    F_dn = _F_w(model, w, s_dn * t)
-    sc_up = float(np.max(F_up))
-    m5 = float(np.min(F_up - s_up**p * F))
-    m6 = float(np.min(s_up**q * F - F_up))
-    checks.append(GrowthCheck("scaling-up-lower", "s^p F <= F(st), s >= 1", n, m5, sc_up,
-                              tight=(p == q)))
-    checks.append(GrowthCheck("scaling-up-upper", "F(st) <= s^q F, s >= 1", n, m6, sc_up,
-                              tight=(p == q)))
-    sc_dn = float(np.max(F_dn))
-    m7 = float(np.min(F_dn - s_dn**q * F))
-    m8 = float(np.min(s_dn**p * F - F_dn))
-    checks.append(GrowthCheck("scaling-down-lower", "s^q F <= F(st), s <= 1", n, m7, sc_dn,
-                              tight=(p == q)))
-    checks.append(GrowthCheck("scaling-down-upper", "F(st) <= s^p F, s <= 1", n, m8, sc_dn,
-                              tight=(p == q)))
-
-    # one-point form in terms of r(x) = f(x, 1)
-    r_of_x = _f_w(model, w, np.ones(n))
-    F_s_up = _F_w(model, w, s_up)
-    F_s_dn = _F_w(model, w, s_dn)
-    sc_one = float(np.max(F_s_up))
-    m9 = float(np.min(F_s_up - r_of_x * s_up**p / q))
-    m10 = float(np.min(r_of_x * s_up**q / p - F_s_up))
-    checks.append(GrowthCheck("one-point-up-lower", "r s^p / q <= F(x,s), s >= 1",
-                              n, m9, sc_one))
-    checks.append(GrowthCheck("one-point-up-upper", "F(x,s) <= r s^q / p, s >= 1",
-                              n, m10, sc_one))
-    m11 = float(np.min(F_s_dn - r_of_x * s_dn**q / q))
-    m12 = float(np.min(r_of_x * s_dn**p / p - F_s_dn))
-    checks.append(GrowthCheck("one-point-down-lower", "r s^q / q <= F(x,s), s <= 1",
-                              n, m11, float(np.max(F_s_dn))))
-    checks.append(GrowthCheck("one-point-down-upper", "F(x,s) <= r s^p / p, s <= 1",
-                              n, m12, float(np.max(F_s_dn))))
-
-    # global upper envelope
-    c_up = model.weight.amplitude * (2.0 if model.kind == "two_power" else 1.0) / p
-    m13 = float(np.min(c_up * (t**p + t**q) - F))
-    checks.append(GrowthCheck("upper-envelope", "F <= C (t^p + t^q)", n, m13, scale_F))
-
-    # cone lower bound: x = t_ray * y with y in the ball around the cone center
-    m_cone = n
-    y = rng.standard_normal((m_cone, 3))
-    y = y / np.linalg.norm(y, axis=1, keepdims=True)
-    y = np.asarray(model.cone_center, float) + model.cone_radius * (
-        y * rng.uniform(0, 1, size=(m_cone, 1)) ** (1.0 / 3.0)
-    )
-    t_ray = np.exp(rng.uniform(0.0, np.log(1e3), size=m_cone))
-    x_cone = t_ray[:, None] * y
-    t_small = np.exp(rng.uniform(np.log(1e-6), np.log(model.t0), size=m_cone))
-    F_cone = F_value(model, x_cone, t_small)
-    lower = (
-        model.lower_const_effective
-        * np.linalg.norm(x_cone, axis=1) ** (-model.tau)
-        * t_small**model.growth_alpha
-    )
-    m14, w14 = _worst(F_cone - lower, (x_cone, t_small))
-    checks.append(
-        GrowthCheck(
-            "cone-lower-bound",
-            "F >= L |x|^(-tau) t^alpha on the cone, t <= t0",
-            m_cone,
-            m14,
-            float(np.max(F_cone)),
-            witness=w14 if m14 < 0 else None,
-        )
-    )
-    return GrowthReport(checks)

@@ -314,6 +314,7 @@ class ReducedState:
     grad_tangent: SpinorField | None = None
     fiber_coeff: float = 1.0
     riesz_v: SpinorField | None = None  # riesz_plus(v), set with the gradient
+    residual: SpinorField | None = None  # H0 g - f(|g|) g - kappa g, set with the gradient
 
 
 def tangent_project(
@@ -339,8 +340,8 @@ def attach_gradient(state: ReducedState) -> ReducedState:
     tangent-projected plus-part riesz lift of the residual, scaled by the
     fiber coefficient sqrt(a^2 - |w|_2^2)/a.
     """
-    residual = apply_h0(state.g) - state.fu - state.kappa_val * state.g
-    raw = state.fiber_coeff * riesz_plus(residual)
+    state.residual = apply_h0(state.g) - state.fu - state.kappa_val * state.g
+    raw = state.fiber_coeff * riesz_plus(state.residual)
     state.riesz_v = riesz_plus(state.v)
     state.grad_tangent = tangent_project(state.v, raw, state.riesz_v)
     return state

@@ -25,9 +25,7 @@ from .reduction import (
     SmallnessError,
     attach_gradient,
     evaluate_reduced,
-    kappa,
     minus_ball_radius,
-    pde_residual,
     sample_concavity,
     tangent_project,
 )
@@ -113,14 +111,11 @@ class SolutionRecord:
     w_star: SpinorField | None = field(default=None, repr=False)
     history: list[float] = field(default_factory=list, repr=False)
     stall_reason: str | None = None
+    failed_criteria: list[str] = field(default_factory=list)
 
     @property
     def residual_rel(self) -> float:
         return self.residual_l2 / self.u_l2 if self.u_l2 > 0 else math.inf
-
-
-def retract_to_sphere(x: SpinorField, a: float) -> SpinorField:
-    return x * (a / l2_norm(x))
 
 
 def default_initial_guess(
@@ -278,15 +273,14 @@ def _build_record(
     m = space.mass
     a = state.a
     u = state.g
-    omega = kappa(model, u)
-    residual = l2_norm(pde_residual(model, u))
+    omega = state.kappa_val
+    residual = l2_norm(state.residual)
     u_l2 = l2_norm(u)
     grad_norm = e_norm(state.grad_tangent)
     p = model.p
     cap = (m + a ** ((p - 2.0) / 2.0)) * a * a
     in_x_a = e_norm(state.v) ** 2 <= cap * (1.0 + 1e-12)
     half_level = 0.5 * m * a * a
-    residual_ok = residual <= 100.0 * opts.tol_grad * a
     if model.kind == "null":
         # exact linear eigenmodes sit at omega = m, j = m a^2 / 2
         omega_ok = omega <= m * (1.0 + 1e-9)
@@ -294,7 +288,14 @@ def _build_record(
     else:
         omega_ok = omega < m
         level_ok = state.j_val < half_level
-    converged = grad_converged and residual_ok and omega_ok and level_ok and in_x_a
+    criteria = {
+        "gradient": grad_converged,
+        "residual": residual <= 100.0 * opts.tol_grad * a,
+        "omega_below_mass": omega_ok,
+        "level_below_half": level_ok,
+        "x_a_cap": in_x_a,
+    }
+    failed = [name for name, ok in criteria.items() if not ok]
     gap_const = None
     if model.kind != "null" and omega < m:
         gap_const = (m - omega) / a ** (p - 2.0)
@@ -309,7 +310,7 @@ def _build_record(
         in_x_a=in_x_a,
         iterations=iterations,
         model_tag=model.tag,
-        converged=converged,
+        converged=not failed,
         grad_norm=grad_norm,
         e_norm_u=e_norm(u),
         omega_gap_const=gap_const,
@@ -317,6 +318,7 @@ def _build_record(
         w_star=state.w,
         history=history,
         stall_reason=stall_reason,
+        failed_criteria=failed,
     )
 
 
@@ -392,7 +394,7 @@ def minimize_on_sphere(
                 slope = e_inner(direction, grad)
                 threshold = max(slope, gnorm * gnorm)
                 step = opts.step_init
-            v_try = retract_to_sphere(v - step * direction, a)
+            v_try = normalized(v - step * direction, a)
             if not in_plus_cone(v_try):
                 step *= 0.5
                 continue
@@ -622,18 +624,19 @@ def multi_start_deflated(
             )
         except DescentStallError as err:
             rec = err.record
-        except SmallnessError:
-            raise
         all_records.append(rec)
         if rec.v_star is None:
             continue
-        # re-verify without the penalty
+        # re-verify without the penalty; the record carries the outer
+        # iterations of the search and of the polish it needed
         ver = extract_solution(model, rec.v_star, opts)
+        ver.iterations = rec.iterations
         if not ver.converged:
             try:
                 ver = minimize_on_sphere(model, a, rec.v_star, opts)
             except DescentStallError:
                 continue
+            ver.iterations += rec.iterations
         if ver.converged:
             verified.append(ver)
             centers.append(ver.v_star)

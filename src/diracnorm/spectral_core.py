@@ -259,14 +259,6 @@ class SpinorField:
         return cls(space, np.zeros(shape, np.complex128), np.zeros(shape, np.complex128))
 
     @classmethod
-    def from_values(cls, space: DiracSpace, values) -> "SpinorField":
-        arr = np.asarray(values, dtype=np.complex128)
-        n = space.grid.n_per_axis
-        if arr.shape != (4, n, n, n):
-            raise ValueError(f"expected shape (4, {n}, {n}, {n}), got {arr.shape}")
-        return cls(space, arr)
-
-    @classmethod
     def from_hat(cls, space: DiracSpace, hat: ArrayC) -> "SpinorField":
         return cls(space, None, hat)
 

@@ -289,7 +289,7 @@ class SubspaceReport:
 
 
 def _plus_basis(
-    model: NonlinearModel, space: DiracSpace, scale: float, basis: HermiteBasis
+    space: DiracSpace, scale: float, basis: HermiteBasis
 ) -> tuple[list[SpinorField], float]:
     fields = []
     capture = 1.0
@@ -327,7 +327,7 @@ def _subspace_report(
 ) -> tuple[list[SpinorField], SubspaceReport]:
     """The plus basis of subspace_ratio together with its report."""
     space = subspace_space(base_space, n)
-    plus_fields, capture = _plus_basis(model, space, n, HermiteBasis.first(k))
+    plus_fields, capture = _plus_basis(space, n, HermiteBasis.first(k))
     gram = np.array([[l2_inner(pi, pj) for pj in plus_fields] for pi in plus_fields])
     scale_diag = np.sqrt(np.diag(gram))
     normalized_gram = gram / np.outer(scale_diag, scale_diag)

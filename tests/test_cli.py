@@ -1,3 +1,4 @@
+import ast
 import re
 from pathlib import Path
 
@@ -123,6 +124,32 @@ def test_cmd_check_passes_on_defaults(tmp_path, capsys):
 def test_cmd_check_rejects_bad_config(tmp_path):
     cfg = _write(tmp_path, "model.p=3.5\n")
     assert main(["check", "--config", cfg]) == 2
+
+
+def _check_lines(tmp_path, text):
+    out = tmp_path / "out"
+    code = main(["check", "--config", _write(tmp_path, SMALL + text + f"output.dir={out}\n"),
+                 "--quiet"])
+    return code, (out / "check_report.txt").read_text().splitlines()
+
+
+def test_cmd_check_failure_prints_a_plain_witness(tmp_path):
+    code, lines = _check_lines(tmp_path, "model.lower_const=100\n")
+    assert code == 1
+    (cone,) = [line for line in lines if "cone-lower-bound" in line]
+    assert cone.startswith("[FAIL] cone-lower-bound: worst margin -")
+    # a witness of plain floats is a Python literal; np.float64(...) is not
+    point, t = ast.literal_eval(cone.partition(" witness=")[2])
+    assert len(point) == 3 and all(isinstance(c, float) for c in (*point, t))
+
+
+def test_cmd_check_reports_the_norm_domination_margin(tmp_path):
+    code, lines = _check_lines(tmp_path, "")
+    assert code == 0
+    assert lines[0] == "check: grid 12^3 (box 12), m=1, field suites at a=0.1, seed 20240"
+    (norm,) = [line for line in lines if "norm-domination" in line]
+    margin = float(re.search(r"worst margin (\S+)", norm).group(1))
+    assert margin > 0
 
 
 def test_cmd_solve_deterministic(tmp_path):
@@ -255,6 +282,21 @@ def test_cmd_solve_names_an_exhausted_outer_budget(tmp_path):
     assert rec["converged"] is False
     assert rec["stall_reason"].startswith("outer budget max_outer=2 exhausted at gradient norm")
     assert rec["stall_reason"] in (out / "diagnostics.txt").read_text()
+
+
+def test_cmd_solve_names_the_failed_criteria(tmp_path):
+    import json
+
+    for max_outer, code in ((2, 1), (500, 0)):
+        out = tmp_path / f"out{max_outer}"
+        text = SMALL.replace("max_outer=500", f"max_outer={max_outer}") + f"output.dir={out}\n"
+        assert main(["solve", "--config", _write(tmp_path, text), "--quiet"]) == code
+        failed = json.loads((out / "solution.json").read_text())["failed_criteria"]
+        if code:
+            assert "gradient" in failed
+            assert f"failed criteria: {', '.join(failed)}" in (out / "diagnostics.txt").read_text()
+        else:
+            assert failed == []
 
 
 def test_rejects_unwritable_format_version(tmp_path):

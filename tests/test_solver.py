@@ -7,10 +7,12 @@ from diracnorm import (
     calibrate_a_max,
     e_norm,
     extract_solution,
+    kappa,
     l2_norm,
     minimize_on_sphere,
     multi_start_deflated,
     null_model,
+    pde_residual,
     pure_power,
 )
 import diracnorm.solver as solver_module
@@ -203,3 +205,19 @@ def test_deflated_starts_converge_within_budget(space12):
         assert rec.converged
         assert rec.iterations < 300
         assert rec.stall_reason is None
+
+
+def test_record_reads_the_reduced_state(space12):
+    model = pure_power(2.5)
+    a = 0.1
+    rec = minimize_on_sphere(model, a, default_initial_guess(space12, model, a), SolverOptions())
+    assert rec.converged and rec.failed_criteria == []
+    assert abs(rec.omega - kappa(model, rec.u)) <= 1e-12
+    assert abs(rec.residual_l2 - l2_norm(pde_residual(model, rec.u))) <= 1e-12 * a
+
+
+def test_multi_records_carry_their_outer_iterations(space12):
+    res = multi_start_deflated(pure_power(2.5), 0.1, 2, SolverOptions(), space12)
+    assert all(rec.iterations > 0 for rec in res.records)
+    # the first start runs undeflated, so its verified record leads the list
+    assert res.records[0].iterations >= res.all_records[0].iterations
