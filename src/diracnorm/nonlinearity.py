@@ -34,16 +34,15 @@ from .spectral_core import FieldError, Grid, SpinorField, l2_inner
 ArrayF = NDArray[np.float64]
 
 MODEL_KINDS = ("pure_power", "two_power", "null")
-WEIGHT_FORMS = ("inverse_poly", "bump")
+WEIGHT_FORMS = ("inverse_poly",)
 
 
 @dataclass(frozen=True)
 class WeightSpec:
     """Spatial weight r(x).
 
-    ``inverse_poly``: r(x) = amplitude * (1 + |x|^2)^(-decay_rate/2), a slowly
-    vanishing weight; ``bump``: a smooth compactly supported bump where
-    ``decay_rate`` is reused as the support radius.
+    ``inverse_poly``, the one form: r(x) = amplitude * (1 + |x|^2)^(-decay_rate/2),
+    a slowly vanishing weight that is positive everywhere, as (f2) requires.
     """
 
     amplitude: float = 1.0
@@ -64,14 +63,7 @@ class WeightSpec:
     def value_r2(self, r2) -> ArrayF:
         """Weight evaluated from squared radius |x|^2 (scalar or array)."""
         r2 = np.asarray(r2, dtype=float)
-        if self.form == "inverse_poly":
-            return self.amplitude * (1.0 + r2) ** (-self.decay_rate / 2.0)
-        radius = self.decay_rate if self.decay_rate > 0 else 1.0
-        s = r2 / radius**2
-        out = np.zeros_like(s)
-        inside = s < 1.0
-        out[inside] = self.amplitude * np.exp(1.0 - 1.0 / (1.0 - s[inside]))
-        return out
+        return self.amplitude * (1.0 + r2) ** (-self.decay_rate / 2.0)
 
     def value_at(self, x) -> ArrayF:
         x = np.asarray(x, dtype=float)
@@ -123,11 +115,11 @@ class NonlinearModel:
                 f"(got tau={self.tau})",
                 "tau", "growth_alpha",
             )
-        if self.weight.form == "inverse_poly" and self.weight.decay_rate > self.tau:
+        if self.weight.decay_rate > self.tau:
             raise FieldError(
-                "(f5) cone bound needs weight decay <= tau for the inverse_poly "
-                f"form (got decay={self.weight.decay_rate}, tau={self.tau})",
-                "weight.decay_rate", "tau", "weight.form",
+                "(f5) cone bound needs weight decay <= tau "
+                f"(got decay={self.weight.decay_rate}, tau={self.tau})",
+                "weight.decay_rate", "tau",
             )
         if not self.t0 > 0:
             raise FieldError(f"t0 must be positive, got {self.t0}", "t0")
@@ -156,9 +148,9 @@ class NonlinearModel:
 
     @property
     def lower_const_effective(self) -> float:
-        """Cone-bound constant L; derived for the built-in forms when unset.
+        """Cone-bound constant L; derived from the weight when unset.
 
-        For an inverse-poly weight with decay <= tau, on |x| >= 1 one has
+        For the inverse-poly weight with decay <= tau, on |x| >= 1 one has
         r(x) >= r0 * 2^(-tau/2) |x|^(-tau); dividing by p (and by 2 for the
         two_power split) gives a valid L for alpha >= p and t <= min(t0, 1).
         """

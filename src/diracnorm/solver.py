@@ -594,18 +594,14 @@ def multi_start_deflated(
     penalty removed before being reported.  Fewer-than-requested outcomes are
     reported, not raised.
     """
-    from .subspaces import HermiteBasis, scaled_envelope_field
+    from .subspaces import HermiteBasis, _plus_basis
 
     if k <= 0:
         raise ValueError("k must be positive")
-    basis = HermiteBasis.first(k)
     envelope_scale = max(2.0, space.grid.box_length / 8.0)
-    starts: list[SpinorField] = []
-    for i in range(k):
-        coeffs = np.zeros(k)
-        coeffs[i] = 1.0
-        u = scaled_envelope_field(space, envelope_scale, basis, coeffs)
-        starts.append(normalized(split(u).plus, a))
+    starts = [
+        normalized(p, a) for p in _plus_basis(space, envelope_scale, HermiteBasis.first(k))[0]
+    ]
     rng = np.random.default_rng(opts.seed)
     for _ in range(extra_random_starts):
         starts.append(random_field(space, rng, bandwidth=1.0, part="plus", target_l2=a))

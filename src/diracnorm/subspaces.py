@@ -5,9 +5,10 @@ upper-block spinor) is modulated by Hermite functions dilated by a scale
 factor; the resulting fields have L2 mass approaching the Hermite mass,
 vanishing commutator with (H0 - m), and plus parts spanning k-dimensional
 subspaces on which the quadratic excess e_norm^2 - m shrinks while the
-potential term stays bounded below.  Sampling the unit sphere of such a
-subspace yields computable upper bounds for the reduced functional's minimax
-levels at small mass.
+potential term stays bounded below.  The sup of the quadratic excess over
+such a subspace is the top eigenvalue of a k x k Gram pencil; together with
+the inf of the potential, sampled over the unit sphere, it yields computable
+upper bounds for the reduced functional's minimax levels at small mass.
 
 The envelope scale stretches the profile; grids for large scales are widened
 automatically so the Gaussian tails stay inside the box (a fixed box loses
@@ -29,10 +30,12 @@ from .spectral_core import (
     Grid,
     SpinorField,
     apply_h0,
+    e_inner,
     e_norm,
     eigen_spinor,
     l2_inner,
     l2_norm,
+    normalized,
     plane_wave,
     split,
 )
@@ -231,21 +234,13 @@ def subspace_space(base: DiracSpace, scale: float, width_factor: float = 6.0) ->
 
 
 def sphere_samples(k: int, count: int) -> ArrayF:
-    """Deterministic unit-sphere sample in R^k: signed basis plus Sobol points."""
+    """Deterministic unit-sphere sample in R^k: the signed basis, plus
+    ``count`` normalized standard normal points (a fixed seed) when k > 1."""
     rows = [np.eye(k)[i] * s for i in range(k) for s in (1.0, -1.0)]
     if k == 1:
         return np.array(rows)
-    from scipy.stats import qmc
-    from scipy.special import ndtri
-
-    sob = qmc.Sobol(d=k, scramble=False)
-    raw = sob.random_base2(int(np.ceil(np.log2(count + 8))))
-    raw = np.clip(raw, 1e-12, 1.0 - 1e-12)
-    pts = ndtri(raw)
-    norms = np.linalg.norm(pts, axis=1)
-    keep = norms > 1e-9
-    pts = pts[keep][:count] / norms[keep][:count, None]
-    return np.vstack([rows, pts])
+    pts = np.random.default_rng(0).standard_normal((count, k))
+    return np.vstack([rows, pts / np.linalg.norm(pts, axis=1, keepdims=True)])
 
 
 def envelope_operator_norms(
@@ -274,7 +269,8 @@ def envelope_operator_norms(
 
 @dataclass
 class SubspaceReport:
-    """Sampled extremes of one plus subspace at one envelope scale."""
+    """Extremes of one plus subspace at one envelope scale: the exact sup of
+    the quadratic excess and the sampled inf of the potential."""
 
     k: int
     n: int
@@ -283,7 +279,6 @@ class SubspaceReport:
     ratio: float
     injective: bool
     gram_min_eig: float
-    level_bound: float | None = None
     mass_capture: float = 1.0
     warnings: list[str] = field(default_factory=list)
 
@@ -311,13 +306,15 @@ def subspace_ratio(
     base_space: DiracSpace,
     density: int = 64,
 ) -> SubspaceReport:
-    """Sampled sup of the quadratic excess over sampled inf of the potential.
+    """Sup of the quadratic excess over sampled inf of the potential.
 
-    Samples the unit L2 sphere of the plus subspace spanned by the k scaled
-    envelopes at scale n (signed basis plus a low-discrepancy sphere set of
-    size density * k); reports sup(e_norm^2 - m), inf(psi), their ratio, and
-    injectivity of the plus projection via the Gram matrix of the spanning
-    fields.
+    On the plus subspace spanned by the k scaled envelopes at scale n, the
+    sup of e_norm^2 - m over the unit L2 sphere is exact: the top eigenvalue
+    of the pencil of e-norm and L2 Gram matrices, minus m.  inf(psi) is
+    sampled (signed basis plus density * k seeded sphere points), so it may
+    sit above the true inf and the ratio is an estimate, not a rigorous
+    bound.  Also reports injectivity of the plus projection via the Gram
+    matrix of the spanning fields.
     """
     return _subspace_report(model, k, n, base_space, density)[1]
 
@@ -329,29 +326,24 @@ def _subspace_report(
     space = subspace_space(base_space, n)
     plus_fields, capture = _plus_basis(space, n, HermiteBasis.first(k))
     gram = np.array([[l2_inner(pi, pj) for pj in plus_fields] for pi in plus_fields])
+    e_gram = np.array([[e_inner(pi, pj) for pj in plus_fields] for pi in plus_fields])
     scale_diag = np.sqrt(np.diag(gram))
     normalized_gram = gram / np.outer(scale_diag, scale_diag)
     gram_min_eig = float(np.min(np.linalg.eigvalsh(normalized_gram)))
     injective = gram_min_eig > 1e-8
+    # max of c.E c / c.G c over real c: whiten G = L L^T, top eigenvalue of L^-1 E L^-T
+    whiten = np.linalg.inv(np.linalg.cholesky(gram))
+    sup_quad = float(np.linalg.eigvalsh(whiten @ e_gram @ whiten.T)[-1]) - space.mass
 
-    samples = sphere_samples(k, density * k)
-    hats = np.stack([p.hat for p in plus_fields])
     vals = np.stack([p.values for p in plus_fields])
-    vol = space.grid.cell_volume
-    sup_quad = -np.inf
-    inf_psi = np.inf
-    for c in samples:
-        combo_vals = np.tensordot(c, vals, axes=(0, 0))
-        pl2 = float(np.sqrt(vol * np.sum(np.abs(combo_vals) ** 2)))
-        combo_hat = np.tensordot(c, hats, axes=(0, 0)) / pl2
-        e2 = vol * float(np.sum(space.lam * np.sum(np.abs(combo_hat) ** 2, axis=0)))
-        sup_quad = max(sup_quad, e2 - space.mass)
-        v_field = SpinorField(space, combo_vals / pl2)
-        inf_psi = min(inf_psi, psi(model, v_field))
+    inf_psi = min(
+        psi(model, normalized(SpinorField(space, np.tensordot(c, vals, axes=(0, 0)))))
+        for c in sphere_samples(k, density * k)
+    )
     report = SubspaceReport(
         k=k,
         n=int(n),
-        sup_quad=float(sup_quad),
+        sup_quad=sup_quad,
         inf_psi=float(inf_psi),
         ratio=float(sup_quad / inf_psi) if inf_psi > 0 else np.inf,
         injective=injective,
@@ -395,7 +387,9 @@ def level_bound(
     over the unit sphere of the subspace; the direct value is a sampled sup
     of the reduced functional over the same sphere scaled to mass a.  The
     direct sup must not exceed the analytic bound by more than sampling
-    slack once the mass is small.
+    slack once the mass is small.  The quadratic sup is exact, but inf psi
+    and the direct sup are sampled, so neither the bound nor its consistency
+    check is fully rigorous.
     """
     plus_fields, report = _subspace_report(model, k, n, base_space, density)
     m = base_space.mass

@@ -258,6 +258,11 @@ def test_rejection_cites_the_line_of_the_value(text, cited):
     assert "line 0" not in str(info.value)
 
 
+def test_rejects_the_bump_weight_form(tmp_path, capsys):
+    assert main(["check", "--config", _write(tmp_path, "# c\nmodel.weight_form=bump\n")]) == 2
+    assert "config error: line 2: model.weight_form=bump violates" in capsys.readouterr().err
+
+
 def test_rejection_cites_every_involved_line():
     with pytest.raises(ConfigError) as info:
         parse_config("model.p=2.6\nsolve.a=0.1\nmodel.q=2.55\n")

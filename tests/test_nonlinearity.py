@@ -3,6 +3,7 @@ import pytest
 
 from diracnorm import (
     F_value,
+    FieldError,
     NonlinearModel,
     WeightSpec,
     check_growth,
@@ -160,6 +161,13 @@ def test_growth_cone_bound_inverse_poly():
     report = check_growth(model, sample_count=20000, seed=11)
     cone = [c for c in report.checks if c.name == "cone-lower-bound"][0]
     assert cone.passed
+
+
+def test_bump_weight_is_rejected():
+    # a bump weight vanishes outside its support, so f = 0 there, against (f2)
+    with pytest.raises(FieldError) as info:
+        WeightSpec(form="bump")
+    assert info.value.fields == ("form",)
 
 
 def test_growth_scaling_envelope_grid():

@@ -1,15 +1,29 @@
+import os
+import subprocess
+import sys
+from functools import lru_cache
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from diracnorm import (
+    DiracSpace,
+    Grid,
     apply_h0,
+    e_inner,
+    e_norm,
     hermite_function,
+    l2_inner,
     l2_norm,
     level_bound,
     mean_value,
     null_model,
     periodic_solution_phi,
     pure_power,
+    split,
     subspace_ratio,
 )
 
@@ -228,3 +242,60 @@ def test_level_bound_decreases_along_ladder(desk_space):
         for n in (4.0, 8.0, 16.0)
     ]
     assert all(b < a_ for a_, b in zip(bounds, bounds[1:]))
+
+
+@lru_cache(maxsize=None)
+def _plus_span(k, n):
+    """Plus basis of the k-dimensional envelope subspace at scale n on 12^3,
+    and the subspace report of the same span."""
+    base = DiracSpace(Grid(12, 12.0), 1.0)
+    space = subspace_space(base, n)
+    basis = HermiteBasis.first(k)
+    fields = [split(scaled_envelope_field(space, n, basis, row)).plus for row in np.eye(k)]
+    return fields, subspace_ratio(pure_power(2.2), k, n, base, density=1)
+
+
+def _quadratic_excess(fields, coeffs):
+    """e_norm^2 / l2_norm^2 - m of the combination sum_i coeffs_i fields_i."""
+    combo = fields[0] * float(coeffs[0])
+    for c, p in zip(coeffs[1:], fields[1:]):
+        combo = combo + p * float(c)
+    return e_norm(combo) ** 2 / l2_norm(combo) ** 2 - combo.space.mass
+
+
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("n", [2.0, 4.0])
+def test_sup_quad_is_attained_on_the_top_generalized_eigenvector(k, n):
+    fields, rep = _plus_span(k, n)
+    gram = np.array([[l2_inner(p, q) for q in fields] for p in fields])
+    e_gram = np.array([[e_inner(p, q) for q in fields] for p in fields])
+    # E c = mu G c, solved as the plain eigenproblem of G^-1 E
+    mus, vecs = np.linalg.eig(np.linalg.solve(gram, e_gram))
+    top = vecs[:, np.argmax(mus.real)].real
+    assert abs(_quadratic_excess(fields, top) - rep.sup_quad) <= 1e-12 * rep.sup_quad
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    coeffs=st.lists(st.floats(-1.0, 1.0, allow_nan=False), min_size=3, max_size=3).filter(
+        lambda c: np.linalg.norm(c) > 1e-3
+    )
+)
+def test_no_combination_exceeds_sup_quad(coeffs):
+    fields, rep = _plus_span(3, 4.0)
+    assert _quadratic_excess(fields, coeffs) <= rep.sup_quad + 1e-12 * rep.sup_quad
+
+
+def test_subspace_bounds_run_without_scipy():
+    code = (
+        "import sys\n"
+        "sys.modules['scipy'] = None\n"
+        "from diracnorm import DiracSpace, Grid, level_bound, pure_power, subspace_ratio\n"
+        "space = DiracSpace(Grid(12, 12.0), 1.0)\n"
+        "subspace_ratio(pure_power(2.2), 3, 4.0, space, density=2)\n"
+        "level_bound(pure_power(2.2), 3, 4.0, 0.1, space, density=2, j_density=3)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
