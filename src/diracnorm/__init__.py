@@ -42,6 +42,7 @@ from .solver import (
     extract_solution,
     minimize_on_sphere,
     multi_start_deflated,
+    solve_normalized,
 )
 from .spectral_core import (
     ALPHA,
@@ -60,6 +61,7 @@ from .spectral_core import (
     h_half_norm,
     l2_inner,
     l2_norm,
+    prolong,
     spectral_projectors,
     split,
 )

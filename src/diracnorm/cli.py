@@ -6,7 +6,8 @@ check     run the invariant suites (projector algebra, norm domination,
           growth inequalities, inner concavity, boundary energy drop,
           gradient consistency); one line per check with its worst margin,
           bound, sample count and scale
-solve     one normalized solve at the configured mass
+solve     one normalized solve at the configured mass, seeded from the n/2
+          grid when it is eligible (see solver.solve_normalized)
 sweep     bifurcation sweep over the configured mass ladder
 multi     deflated multi-start search for distinct solutions
 subspace  subspace ratio / level-bound study over the (k, n) lattice
@@ -36,9 +37,8 @@ from .solver import (
     SolverOptions,
     SolutionRecord,
     bifurcation_sweep,
-    default_initial_guess,
-    minimize_on_sphere,
     multi_start_deflated,
+    solve_normalized,
 )
 from .spectral_core import DiracSpace, FieldError, Grid, SpinorField
 from .subspaces import level_bound
@@ -262,6 +262,8 @@ def record_to_dict(rec: SolutionRecord, cfg: RunConfig, snapshot_name: str | Non
         "stall_reason": rec.stall_reason,
         "failed_criteria": rec.failed_criteria,
         "omega_gap_const": rec.omega_gap_const,
+        "omega_coarse": rec.omega_coarse,
+        "omega_resolution": rec.omega_resolution,
         "model_tag": rec.model_tag,
         "seed": cfg.solver.seed,
         "format_version": cfg.format_version,
@@ -301,11 +303,9 @@ def cmd_check(cfg: RunConfig, out_dir: Path, quiet: bool) -> int:
 
 def cmd_solve(cfg: RunConfig, out_dir: Path, quiet: bool) -> int:
     space = DiracSpace(cfg.grid, cfg.mass)
-    a = cfg.solve_a
-    v0 = default_initial_guess(space, cfg.model, a)
     out_dir.mkdir(parents=True, exist_ok=True)
     try:
-        rec = minimize_on_sphere(cfg.model, a, v0, cfg.solver)
+        rec = solve_normalized(cfg.model, cfg.solve_a, space, cfg.solver)
         snapshot = "solution.field"
         save_field_snapshot(out_dir / snapshot, rec.u, rec.a)
     except DescentStallError as err:

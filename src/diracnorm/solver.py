@@ -40,6 +40,7 @@ from .spectral_core import (
     in_plus_cone,
     l2_norm,
     normalized,
+    prolong,
     random_field,
     riesz_plus,
     split,
@@ -107,6 +108,7 @@ class SolutionRecord:
     grad_norm: float
     e_norm_u: float
     omega_gap_const: float | None = None
+    omega_coarse: float | None = None
     v_star: SpinorField | None = field(default=None, repr=False)
     w_star: SpinorField | None = field(default=None, repr=False)
     history: list[float] = field(default_factory=list, repr=False)
@@ -116,6 +118,11 @@ class SolutionRecord:
     @property
     def residual_rel(self) -> float:
         return self.residual_l2 / self.u_l2 if self.u_l2 > 0 else math.inf
+
+    @property
+    def omega_resolution(self) -> float | None:
+        """Richardson error estimate of omega, second order under 2x refinement."""
+        return None if self.omega_coarse is None else abs(self.omega - self.omega_coarse) / 3.0
 
 
 def default_initial_guess(
@@ -461,6 +468,40 @@ def minimize_on_sphere(
     if stall is not None:
         raise DescentStallError(stall, record)
     return record
+
+
+#: Smallest grid a coarse-to-fine solve descends to (see solve_normalized).
+COARSEST_N = 12
+
+
+def solve_normalized(
+    model: NonlinearModel, a: float, space: DiracSpace, opts: SolverOptions
+) -> SolutionRecord:
+    """minimize_on_sphere by nested iteration: if n % 4 == 0 and n/2 >= COARSEST_N,
+    start from the sphere point of a (recursive) solve on the n/2 grid of the same
+    box, else from default_initial_guess; omega_coarse is that solve's converged omega."""
+    if opts.a_max is None:  # calibrated once, on the requested grid
+        opts = replace(opts, a_max=calibrate_a_max(model, space, seed=opts.seed))
+    n = space.grid.n_per_axis
+    omega_coarse = None
+    if n % 4 or n // 2 < COARSEST_N:
+        v0 = default_initial_guess(space, model, a)
+    else:
+        coarse_space = DiracSpace(replace(space.grid, n_per_axis=n // 2), space.mass)
+        try:
+            coarse = solve_normalized(model, a, coarse_space, opts)
+        except DescentStallError as err:
+            coarse = err.record
+        omega_coarse = coarse.omega if coarse.converged else None
+        # the symbol agrees on the shared modes, so the plus field stays plus
+        v0 = normalized(prolong(coarse.v_star, space), a)
+    try:
+        rec = minimize_on_sphere(model, a, v0, opts)
+    except DescentStallError as err:
+        err.record.omega_coarse = omega_coarse
+        raise
+    rec.omega_coarse = omega_coarse
+    return rec
 
 
 def extract_solution(

@@ -394,6 +394,22 @@ def normalized(u: SpinorField, target: float = 1.0) -> SpinorField:
     return u * (target / n)
 
 
+def prolong(u: SpinorField, fine_space: DiracSpace) -> SpinorField:
+    """u zero-padded in Fourier space onto a finer grid of the same box and mass,
+    without the coarse Nyquist planes; the L2 and e norms are kept."""
+    coarse, nc, nf = u.space, u.space.grid.n_per_axis, fine_space.grid.n_per_axis
+    same = (fine_space.grid.box_length, fine_space.mass) == (coarse.grid.box_length, coarse.mass)
+    if not same or nf <= nc:
+        raise ValueError(f"prolong from {nc}^3 needs a finer grid of the same box and mass")
+    keep = nc // 2 - 1  # modes -keep..keep per axis, in FFT order on each grid
+    coarse_modes, fine_modes = (
+        (slice(None),) + np.ix_(*[np.r_[0 : keep + 1, n - keep : n]] * 3) for n in (nc, nf)
+    )
+    hat = np.zeros((4, nf, nf, nf), np.complex128)
+    hat[fine_modes] = (nf / nc) ** 1.5 * u.hat[coarse_modes]  # unitary FFT scaling
+    return SpinorField.from_hat(fine_space, hat)
+
+
 def constant_field(space: DiracSpace, chi) -> SpinorField:
     """Spatially constant field with spinor value chi."""
     chi = np.asarray(chi, dtype=np.complex128).reshape(4)
