@@ -188,7 +188,7 @@ def format_real(x: float) -> str:
 
 
 def _json_value(value) -> str:
-    if isinstance(value, bool):
+    if isinstance(value, (bool, np.bool_)):
         return "true" if value else "false"
     if isinstance(value, (int, np.integer)):
         return str(int(value))
@@ -211,6 +211,13 @@ def dump_json(obj: dict) -> str:
     """Deterministic JSON: insertion key order, 17 significant digits."""
     lines = [f'  "{k}": {_json_value(v)}' for k, v in obj.items()]
     return "{\n" + ",\n".join(lines) + "\n}\n"
+
+
+def _write_csv(path: Path, columns: list[str], rows) -> None:
+    """Header line, then one line per row; cells as in JSON, strings unquoted."""
+    lines = [",".join(columns)]
+    lines += [",".join(v if isinstance(v, str) else _json_value(v) for v in row) for row in rows]
+    path.write_text("\n".join(lines) + "\n")
 
 
 def save_field_snapshot(path: str | Path, u: SpinorField, a: float) -> None:
@@ -337,25 +344,12 @@ SWEEP_COLUMNS = [
 def cmd_sweep(cfg: RunConfig, out_dir: Path, quiet: bool) -> int:
     space = DiracSpace(cfg.grid, cfg.mass)
     result = bifurcation_sweep(cfg.model, cfg.sweep_a_values, cfg.solver, space)
-    m = cfg.mass
-    rows = []
-    for rec in result.records:
-        rows.append(
-            [
-                format_real(rec.a),
-                format_real(rec.omega),
-                format_real(m - rec.omega),
-                format_real(rec.u_l2),
-                format_real(rec.u_hhalf),
-                format_real(rec.j_level),
-                format_real(rec.residual_l2),
-                str(rec.iterations),
-                "true" if rec.converged else "false",
-            ]
-        )
     out_dir.mkdir(parents=True, exist_ok=True)
-    csv = ",".join(SWEEP_COLUMNS) + "\n" + "\n".join(",".join(r) for r in rows) + "\n"
-    (out_dir / "sweep.csv").write_text(csv)
+    _write_csv(out_dir / "sweep.csv", SWEEP_COLUMNS, (
+        [r.a, r.omega, cfg.mass - r.omega, r.u_l2, r.u_hhalf, r.j_level, r.residual_l2,
+         r.iterations, r.converged]
+        for r in result.records
+    ))
     fit = {
         "slope": result.slope,
         "gap_constant": result.gap_constant,
@@ -384,14 +378,10 @@ def cmd_multi(cfg: RunConfig, out_dir: Path, quiet: bool) -> int:
             dump_json(record_to_dict(rec, cfg, snapshot))
         )
     n = result.distance_matrix.shape[0]
-    lines = ["i,j,l2_distance,same_family"]
-    for i in range(n):
-        for j in range(n):
-            lines.append(
-                f"{i},{j},{format_real(result.distance_matrix[i, j])},"
-                f"{'true' if result.family_matrix[i, j] else 'false'}"
-            )
-    (out_dir / "distinctness.csv").write_text("\n".join(lines) + "\n")
+    _write_csv(out_dir / "distinctness.csv", ["i", "j", "l2_distance", "same_family"], (
+        [i, j, result.distance_matrix[i, j], result.family_matrix[i, j]]
+        for i in range(n) for j in range(n)
+    ))
     found = len(result.records)
     if found < result.requested:
         _say(quiet, f"multi: found {found} distinct solution families "
@@ -415,22 +405,11 @@ def cmd_subspace(cfg: RunConfig, out_dir: Path, quiet: bool) -> int:
         for n in cfg.subspace_n_ladder:
             bound = level_bound(cfg.model, k, n, a, space, density=cfg.subspace_density)
             report = bound.report
-            rows.append(
-                [
-                    str(k),
-                    str(int(n)),
-                    format_real(report.sup_quad),
-                    format_real(report.inf_psi),
-                    format_real(report.ratio),
-                    "true" if report.injective else "false",
-                    format_real(bound.analytic_bound),
-                    "true" if bound.below_half_level else "false",
-                    ";".join(report.warnings),
-                ]
-            )
+            rows.append([k, int(n), report.sup_quad, report.inf_psi, report.ratio,
+                         report.injective, bound.analytic_bound, bound.below_half_level,
+                         ";".join(report.warnings)])
     out_dir.mkdir(parents=True, exist_ok=True)
-    csv = ",".join(SUBSPACE_COLUMNS) + "\n" + "\n".join(",".join(r) for r in rows) + "\n"
-    (out_dir / "subspace.csv").write_text(csv)
+    _write_csv(out_dir / "subspace.csv", SUBSPACE_COLUMNS, rows)
     _say(quiet, f"subspace: {len(rows)} (k, n) rows written")
     return 0
 

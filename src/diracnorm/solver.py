@@ -125,34 +125,23 @@ class SolutionRecord:
         return None if self.omega_coarse is None else abs(self.omega - self.omega_coarse) / 3.0
 
 
-def default_initial_guess(
-    space: DiracSpace, model: NonlinearModel, a: float, width: float = 2.0
-) -> SpinorField:
-    """Plus projection of a Gaussian envelope at the cone center, mass a."""
-    g = gaussian_spinor(space, model.cone_center, width)
-    v = split(g).plus
-    return normalized(v, a)
+def default_initial_guess(space: DiracSpace, model: NonlinearModel, a: float) -> SpinorField:
+    """Plus projection of a width-2 Gaussian envelope at the cone center, mass a."""
+    return normalized(split(gaussian_spinor(space, model.cone_center, 2.0)).plus, a)
 
 
-def calibrate_a_max(
-    model: NonlinearModel,
-    space: DiracSpace,
-    seed: int = 20240,
-    hi: float = 0.5,
-    probes: int = 4,
-    margin: float = -0.125,
-    rounds: int = 12,
-) -> float:
-    """Largest validated mass: bisect on the sampled inner concavity margin.
+def calibrate_a_max(model: NonlinearModel, space: DiracSpace, seed: int = 20240) -> float:
+    """Largest validated mass in (0, 0.5]: bisect, 12 rounds, on the sampled
+    inner concavity margin.
 
     A mass passes when second differences of the fiber energy along random
-    minus directions stay below ``margin`` (in units of e_norm^2) at random
+    minus directions stay below -0.125 (in units of e_norm^2) at 4 random
     interior points.  Deterministic for a fixed seed.
     """
 
     def _ok(a: float) -> bool:
         rng = np.random.default_rng(seed)
-        for _ in range(probes):
+        for _ in range(4):
             v = random_field(space, rng, bandwidth=1.0, part="plus", target_l2=a)
             if not in_plus_cone(v):
                 continue
@@ -160,14 +149,14 @@ def calibrate_a_max(
             w = random_field(space, rng, bandwidth=1.0, part="minus")
             w = w * (0.5 * radius / e_norm(w))
             z = random_field(space, rng, bandwidth=1.0, part="minus")
-            if sample_concavity(model, v, w, z) > margin:
+            if sample_concavity(model, v, w, z) > -0.125:
                 return False
         return True
 
-    lo = 0.0
+    lo, hi = 0.0, 0.5
     if _ok(hi):
         return hi
-    for _ in range(rounds):
+    for _ in range(12):
         mid = 0.5 * (lo + hi)
         if _ok(mid):
             lo = mid
@@ -178,40 +167,34 @@ def calibrate_a_max(
     return lo
 
 
-def _deflation_penalty(v: SpinorField, centers: list[SpinorField], strength: float) -> float:
-    pen = 0.0
-    for c in centers:
-        d2 = l2_norm(v - c) ** 2
-        pen += strength / max(d2, 1e-300)
-    return pen
+def _with_a_max(model: NonlinearModel, space: DiracSpace, opts: SolverOptions) -> SolverOptions:
+    """opts with a_max=None (auto) calibrated on space."""
+    if opts.a_max is not None:
+        return opts
+    return replace(opts, a_max=calibrate_a_max(model, space, seed=opts.seed))
 
 
-def _deflation_gradient_raw(
-    v: SpinorField, centers: list[SpinorField], strength: float
-) -> SpinorField | None:
-    if not centers:
-        return None
-    out = None
-    for c in centers:
-        diff = v - c
-        d2 = l2_norm(diff) ** 2
-        term = (-2.0 * strength / max(d2, 1e-300) ** 2) * riesz_plus(diff)
-        out = term if out is None else out + term
-    return out
+def _x_a_cap(model: NonlinearModel, m: float, a: float) -> float:
+    """The e-norm^2 cap (m + a^((p-2)/2)) a^2 of the small-mass set X_a."""
+    return (m + a ** ((model.p - 2.0) / 2.0)) * a * a
 
 
 def _objective(state: ReducedState, centers, strength) -> float:
-    if not centers:
-        return state.j_val
-    return state.j_val + _deflation_penalty(state.v, centers, strength)
+    """J plus the deflation penalty strength/|v - c|_2^2 of every center c."""
+    return state.j_val + sum(strength / max(l2_norm(state.v - c) ** 2, 1e-300) for c in centers)
 
 
 def _search_direction(state: ReducedState, centers, strength) -> SpinorField:
-    grad = state.grad_tangent
-    extra = _deflation_gradient_raw(state.v, centers, strength)
-    if extra is not None:
-        grad = grad + tangent_project(state.v, extra, state.riesz_v)
-    return grad
+    """Sphere-tangent gradient of _objective; the raw deflation terms are
+    summed first and projected once."""
+    extra = None
+    for c in centers:
+        diff = state.v - c
+        term = (-2.0 * strength / max(l2_norm(diff) ** 2, 1e-300) ** 2) * riesz_plus(diff)
+        extra = term if extra is None else extra + term
+    if extra is None:
+        return state.grad_tangent
+    return state.grad_tangent + tangent_project(state.v, extra, state.riesz_v)
 
 
 def _spectral_scale(space: DiracSpace, kappa_val: float) -> np.ndarray:
@@ -231,14 +214,13 @@ class _QuasiNewton:
     """Limited-memory inverse-Hessian model in the e-metric.
 
     Two-loop recursion seeded with the diagonal spectral scale; curvature
-    pairs from accepted steps are kept while their e-metric pairing stays
-    safely positive.  Handles the handful of near-flat directions (phase and
+    pairs from the last 10 accepted steps are kept while their e-metric
+    pairing stays safely positive.  Handles the handful of near-flat directions (phase and
     spin rotations of the minimizer) that no diagonal scaling can separate.
     """
 
-    def __init__(self, space: DiracSpace, memory: int = 10):
+    def __init__(self, space: DiracSpace):
         self.space = space
-        self.memory = memory
         self.pairs: list[tuple[SpinorField, SpinorField, float]] = []
 
     def push(self, s: SpinorField, y: SpinorField) -> None:
@@ -247,7 +229,7 @@ class _QuasiNewton:
         y_n = np.sqrt(max(e_inner(y, y), 0.0))
         if curv > 1e-10 * s_n * y_n:
             self.pairs.append((s, y, 1.0 / curv))
-            if len(self.pairs) > self.memory:
+            if len(self.pairs) > 10:
                 self.pairs.pop(0)
 
     def reset(self) -> None:
@@ -265,6 +247,20 @@ class _QuasiNewton:
             beta = rho * e_inner(y, q)
             q = q + (alpha - beta) * s
         return tangent_project(state.v, q, state.riesz_v)
+
+    def descent(
+        self, state: ReducedState, grad: SpinorField, gnorm: float
+    ) -> tuple[SpinorField, float]:
+        """Search direction, from the bare spectral scale if the model's does
+        not descend, and its Armijo threshold max(slope, gnorm^2), so that an
+        accepted decrease also certifies the plain-gradient Armijo law."""
+        direction = self.direction(state, grad)
+        slope = e_inner(direction, grad)
+        if not slope > 0:
+            self.reset()
+            direction = self.direction(state, grad)
+            slope = e_inner(direction, grad)
+        return direction, max(slope, gnorm * gnorm)
 
 
 def _build_record(
@@ -284,9 +280,7 @@ def _build_record(
     residual = l2_norm(state.residual)
     u_l2 = l2_norm(u)
     grad_norm = e_norm(state.grad_tangent)
-    p = model.p
-    cap = (m + a ** ((p - 2.0) / 2.0)) * a * a
-    in_x_a = e_norm(state.v) ** 2 <= cap * (1.0 + 1e-12)
+    in_x_a = e_norm(state.v) ** 2 <= _x_a_cap(model, m, a) * (1.0 + 1e-12)
     half_level = 0.5 * m * a * a
     if model.kind == "null":
         # exact linear eigenmodes sit at omega = m, j = m a^2 / 2
@@ -305,7 +299,7 @@ def _build_record(
     failed = [name for name, ok in criteria.items() if not ok]
     gap_const = None
     if model.kind != "null" and omega < m:
-        gap_const = (m - omega) / a ** (p - 2.0)
+        gap_const = (m - omega) / a ** (model.p - 2.0)
     return SolutionRecord(
         a=a,
         omega=omega,
@@ -341,15 +335,14 @@ def minimize_on_sphere(
     The objective decreases monotonically (Armijo); each accepted step is
     retracted exactly back to the sphere.  Once the level drops below
     m a^2 / 2 the e-norm cap (m + a^((p-2)/2)) a^2 is asserted on every later
-    iterate; violation signals a mass outside the small regime.
+    iterate; violation signals a mass outside the small regime.  The record's
+    iterations are the completed steps, or max_outer, or the stalled step.
     """
     space = v0.space
     m = space.mass
-    a_max = opts.a_max
-    if a_max is None:
-        a_max = calibrate_a_max(model, space, seed=opts.seed)
-    if a > a_max:
-        raise SmallnessError(f"a={a:g} exceeds the validated threshold a_max={a_max:g}")
+    opts = _with_a_max(model, space, opts)
+    if a > opts.a_max:
+        raise SmallnessError(f"a={a:g} exceeds the validated threshold a_max={opts.a_max:g}")
     nv = l2_norm(v0)
     if abs(nv - a) > 1e-6 * a:
         raise ValueError(f"v0 must lie on the mass sphere: l2_norm(v0)={nv:g}, a={a:g}")
@@ -359,9 +352,9 @@ def minimize_on_sphere(
     centers = deflation_centers or []
     strength = opts.deflation_strength
     tol_inner_abs = opts.tol_inner * a
+    tol = opts.tol_grad * a
     half_level = 0.5 * m * a * a
-    p = model.p
-    cap = (m + a ** ((p - 2.0) / 2.0)) * a * a
+    cap = _x_a_cap(model, m, a)
 
     state = evaluate_reduced(
         model, v, tol=tol_inner_abs, max_iter=opts.max_inner, need_gradient=True
@@ -370,36 +363,29 @@ def minimize_on_sphere(
     history = [state.j_val]
     step = opts.step_init
     below_half = state.j_val < half_level
-    grad_converged = False
-    iterations = 0
-    stall = None
-
     qn = _QuasiNewton(space)
     grad = _search_direction(state, centers, strength)
-    stagnant = 0
-    for iterations in range(1, opts.max_outer + 1):
+    iterations = stagnant = 0
+    stall = exhausted = None
+    while True:
         gnorm = e_norm(grad)
-        if gnorm <= opts.tol_grad * a:
-            grad_converged = True
-            iterations -= 1
+        if gnorm <= tol:
             break
-        direction = qn.direction(state, grad)
-        slope = e_inner(direction, grad)
-        if not slope > 0:
-            qn.reset()
-            direction = qn.direction(state, grad)
-            slope = e_inner(direction, grad)
-        # the accepted decrease also certifies the plain-gradient Armijo law
-        threshold = max(slope, gnorm * gnorm)
+        if iterations == opts.max_outer:
+            exhausted = (
+                f"outer budget max_outer={opts.max_outer} exhausted at gradient "
+                f"norm {gnorm:.3e} (tol {tol:.3e})"
+            )
+            break
+        iterations += 1
+        direction, threshold = qn.descent(state, grad, gnorm)
         accepted = False
         state_try = None
         for backtrack in range(30):
             if backtrack == 8 and qn.pairs:
                 # curvature model mistrusted far from a minimizer
                 qn.reset()
-                direction = qn.direction(state, grad)
-                slope = e_inner(direction, grad)
-                threshold = max(slope, gnorm * gnorm)
+                direction, threshold = qn.descent(state, grad, gnorm)
                 step = opts.step_init
             v_try = normalized(v - step * direction, a)
             if not in_plus_cone(v_try):
@@ -426,24 +412,19 @@ def minimize_on_sphere(
             break
         # decreases at rounding level cannot be distinguished from noise;
         # a run of them means the tolerance sits below the certifiable floor
-        if obj - _objective(state_try, centers, strength) < 1e-15 * max(abs(obj), 1e-6):
-            stagnant += 1
-            if stagnant >= 10:
-                stall = (
-                    f"objective decreases stayed at rounding level for {stagnant} "
-                    f"steps (gradient norm {gnorm:.3e}, tol {opts.tol_grad * a:.3e})"
-                )
-                break
-        else:
-            stagnant = 0
+        stagnant = stagnant + 1 if obj - obj_try < 1e-15 * max(abs(obj), 1e-6) else 0
+        if stagnant >= 10:
+            stall = (
+                f"objective decreases stayed at rounding level for {stagnant} "
+                f"steps (gradient norm {gnorm:.3e}, tol {tol:.3e})"
+            )
+            break
         state_new = attach_gradient(state_try)
         grad_new = _search_direction(state_new, centers, strength)
         qn.push(state_new.v - v, grad_new - grad)
-        v, state, grad = state_new.v, state_new, grad_new
-        obj = _objective(state, centers, strength)
+        v, state, grad, obj = state_new.v, state_new, grad_new, obj_try
         history.append(state.j_val)
-        if state.j_val < half_level:
-            below_half = True
+        below_half = below_half or state.j_val < half_level
         if below_half and e_norm(v) ** 2 > cap * (1.0 + 1e-9):
             raise SmallnessError(
                 f"iterate left the admissible norm cap: e_norm(v)^2={e_norm(v)**2:.6e} "
@@ -452,18 +433,9 @@ def minimize_on_sphere(
         # a quasi-Newton step has natural length one: never open a search
         # above step_init, where a trial is rejected and its inner solve wasted
         step = min(2.0 * step, opts.step_init)
-    reason = stall
-    if not grad_converged and stall is None:
-        # the gradient of the last accepted step has not been tested yet
-        gnorm = e_norm(grad)
-        grad_converged = gnorm <= opts.tol_grad * a
-        if not grad_converged:
-            reason = (
-                f"outer budget max_outer={opts.max_outer} exhausted at gradient "
-                f"norm {gnorm:.3e} (tol {opts.tol_grad * a:.3e})"
-            )
+    reason = stall or exhausted
     record = _build_record(
-        model, state, opts, iterations, grad_converged, history, stall_reason=reason
+        model, state, opts, iterations, reason is None, history, stall_reason=reason
     )
     if stall is not None:
         raise DescentStallError(stall, record)
@@ -480,8 +452,7 @@ def solve_normalized(
     """minimize_on_sphere by nested iteration: if n % 4 == 0 and n/2 >= COARSEST_N,
     start from the sphere point of a (recursive) solve on the n/2 grid of the same
     box, else from default_initial_guess; omega_coarse is that solve's converged omega."""
-    if opts.a_max is None:  # calibrated once, on the requested grid
-        opts = replace(opts, a_max=calibrate_a_max(model, space, seed=opts.seed))
+    opts = _with_a_max(model, space, opts)  # calibrated on the requested grid
     n = space.grid.n_per_axis
     omega_coarse = None
     if n % 4 or n // 2 < COARSEST_N:
@@ -502,6 +473,20 @@ def solve_normalized(
         raise
     rec.omega_coarse = omega_coarse
     return rec
+
+
+def _record(
+    model: NonlinearModel,
+    a: float,
+    v0: SpinorField,
+    opts: SolverOptions,
+    centers: list[SpinorField] | None = None,
+) -> SolutionRecord:
+    """minimize_on_sphere's record, also when the descent stalls."""
+    try:
+        return minimize_on_sphere(model, a, v0, opts, deflation_centers=centers)
+    except DescentStallError as err:
+        return err.record
 
 
 def extract_solution(
@@ -533,7 +518,6 @@ def bifurcation_sweep(
     a_values: list[float],
     opts: SolverOptions,
     space: DiracSpace,
-    v0: SpinorField | None = None,
 ) -> SweepResult:
     """Warm-started solves along a strictly decreasing mass ladder.
 
@@ -546,21 +530,11 @@ def bifurcation_sweep(
     if any(b >= a for a, b in zip(a_values, a_values[1:])):
         raise ValueError("a_values must be strictly decreasing")
     m = space.mass
+    opts = _with_a_max(model, space, opts)
     records: list[SolutionRecord] = []
-    v_prev: SpinorField | None = None
     for a in a_values:
-        if v_prev is None:
-            v_start = v0 if v0 is not None else default_initial_guess(space, model, a)
-            v_start = normalized(v_start, a)
-        else:
-            v_start = normalized(v_prev, a)
-        try:
-            rec = minimize_on_sphere(model, a, v_start, opts)
-        except DescentStallError as err:
-            rec = err.record
-        records.append(rec)
-        if rec.v_star is not None:
-            v_prev = rec.v_star
+        v_prev = records[-1].v_star if records else default_initial_guess(space, model, a)
+        records.append(_record(model, a, normalized(v_prev, a), opts))
     fit_valid = all(r.converged for r in records)
     slope = None
     gap_constant = None
@@ -624,12 +598,11 @@ def multi_start_deflated(
     k: int,
     opts: SolverOptions,
     space: DiracSpace,
-    extra_random_starts: int = 2,
 ) -> MultiResult:
     """Search for several distinct normalized solutions at one mass.
 
     Starts from plus-projected scaled-envelope basis fields (symmetric and
-    antisymmetric profiles) plus random smooth starts; after each converged
+    antisymmetric profiles) plus two random smooth starts; after each converged
     solve, later runs add the repulsive penalty strength/|v - v_i|_2^2 around
     every found sphere point.  Every candidate is re-verified with the
     penalty removed before being reported.  Fewer-than-requested outcomes are
@@ -639,13 +612,13 @@ def multi_start_deflated(
 
     if k <= 0:
         raise ValueError("k must be positive")
+    opts = _with_a_max(model, space, opts)
     envelope_scale = max(2.0, space.grid.box_length / 8.0)
     starts = [
         normalized(p, a) for p in _plus_basis(space, envelope_scale, HermiteBasis.first(k))[0]
     ]
     rng = np.random.default_rng(opts.seed)
-    for _ in range(extra_random_starts):
-        starts.append(random_field(space, rng, bandwidth=1.0, part="plus", target_l2=a))
+    starts += [random_field(space, rng, bandwidth=1.0, part="plus", target_l2=a) for _ in range(2)]
 
     # deflated runs only need to leave known basins; the undeflated polish
     # afterwards carries the full budget
@@ -654,25 +627,14 @@ def multi_start_deflated(
     all_records: list[SolutionRecord] = []
     verified: list[SolutionRecord] = []
     for v0 in starts:
-        try:
-            rec = minimize_on_sphere(
-                model, a, v0, opts_deflated if centers else opts,
-                deflation_centers=centers or None,
-            )
-        except DescentStallError as err:
-            rec = err.record
+        rec = _record(model, a, v0, opts_deflated if centers else opts, centers)
         all_records.append(rec)
-        if rec.v_star is None:
-            continue
         # re-verify without the penalty; the record carries the outer
         # iterations of the search and of the polish it needed
         ver = extract_solution(model, rec.v_star, opts)
         ver.iterations = rec.iterations
         if not ver.converged:
-            try:
-                ver = minimize_on_sphere(model, a, rec.v_star, opts)
-            except DescentStallError:
-                continue
+            ver = _record(model, a, rec.v_star, opts)
             ver.iterations += rec.iterations
         if ver.converged:
             verified.append(ver)

@@ -134,22 +134,15 @@ def periodic_solution_phi(space: DiracSpace, lam: float) -> SpinorField:
     target_ksq = lam * lam - m * m
     freqs = space.grid.freq_axis
     n = space.grid.n_per_axis
-    best = None
-    for ix in range(n):
-        for iy in range(n):
-            for iz in range(n):
-                ksq = freqs[ix] ** 2 + freqs[iy] ** 2 + freqs[iz] ** 2
-                if abs(ksq - target_ksq) <= 1e-9 * max(1.0, target_ksq):
-                    key = (ksq, ix, iy, iz)
-                    if best is None or key < best:
-                        best = key
-    if best is None:
+    ksq = freqs[:, None, None] ** 2 + freqs[None, :, None] ** 2 + freqs[None, None, :] ** 2
+    hits = np.argwhere(np.abs(ksq - target_ksq) <= 1e-9 * max(1.0, target_ksq))
+    if not len(hits):
         raise ValueError(
             f"eigenvalue {lam:g} is not attainable on the grid frequency lattice"
         )
-    _, ix, iy, iz = best
-    mode = [ix if ix < n // 2 else ix - n, iy if iy < n // 2 else iy - n,
-            iz if iz < n // 2 else iz - n]
+    # the smallest |xi|^2 among the hits; ties go to the first index in C order
+    best = hits[np.argmin(ksq[tuple(hits.T)])]
+    mode = [int(i) if i < n // 2 else int(i) - n for i in best]
     branch = "plus" if lam > 0 else "minus"
     chi = eigen_spinor(space, mode, branch)
     return plane_wave(space, mode, chi)

@@ -17,7 +17,7 @@ from diracnorm import (
 )
 import diracnorm.solver as solver_module
 from diracnorm.reduction import SmallnessError
-from diracnorm.solver import _family_groups, default_initial_guess
+from diracnorm.solver import DescentStallError, _family_groups, default_initial_guess
 
 
 @pytest.fixture(scope="module")
@@ -221,3 +221,53 @@ def test_multi_records_carry_their_outer_iterations(space12):
     assert all(rec.iterations > 0 for rec in res.records)
     # the first start runs undeflated, so its verified record leads the list
     assert res.records[0].iterations >= res.all_records[0].iterations
+
+
+@pytest.mark.parametrize("max_outer", [1, 2, 3])
+def test_an_exhausted_budget_counts_max_outer_steps(space12, max_outer):
+    model, a = pure_power(2.5), 0.1
+    v0 = default_initial_guess(space12, model, a)
+    rec = minimize_on_sphere(model, a, v0, SolverOptions(max_outer=max_outer))
+    assert not rec.converged and f"max_outer={max_outer}" in rec.stall_reason
+    assert rec.iterations == max_outer
+    assert len(rec.history) == rec.iterations + 1
+
+
+def test_converged_and_stalled_descents_count_their_steps(space12):
+    model, a = pure_power(2.5), 0.1
+    v0 = default_initial_guess(space12, model, a)
+    rec = minimize_on_sphere(model, a, v0, SolverOptions())
+    assert rec.converged and rec.stall_reason is None
+    assert len(rec.history) == rec.iterations + 1
+    # the stalled step is counted but adds no level to the history
+    with pytest.raises(DescentStallError) as err:
+        minimize_on_sphere(model, a, v0, SolverOptions(tol_grad=1e-15))
+    stalled = err.value.record
+    assert stalled.iterations > rec.iterations
+    assert len(stalled.history) == stalled.iterations
+
+
+def test_a_stall_inside_the_drivers_is_recorded_not_raised(space12):
+    model, opts = pure_power(2.5), SolverOptions(tol_grad=1e-15, max_outer=300)
+    sweep = bifurcation_sweep(model, [0.1, 0.08], opts, space12)
+    assert all(rec.stall_reason for rec in sweep.records)
+    assert not sweep.fit_valid
+    multi = multi_start_deflated(model, 0.1, 2, opts, space12)
+    assert multi.all_records and all(rec.stall_reason for rec in multi.all_records)
+    assert multi.records == []
+
+
+def test_auto_a_max_is_calibrated_once_per_sweep_and_multi(space12, monkeypatch):
+    spaces = []
+
+    def counting(model, space, seed=20240):
+        spaces.append(space)
+        return 0.25
+
+    monkeypatch.setattr(solver_module, "calibrate_a_max", counting)
+    opts, model = SolverOptions(a_max=None), pure_power(2.5)
+    bifurcation_sweep(model, [0.1, 0.08], opts, space12)
+    assert spaces == [space12]
+    spaces.clear()
+    multi_start_deflated(model, 0.1, 2, opts, space12)
+    assert spaces == [space12]
