@@ -71,6 +71,7 @@ from .subspaces import (
     SubspaceReport,
     hermite_function,
     level_bound,
+    level_bounds,
     mean_value,
     periodic_solution_phi,
     scaled_envelope_field,

@@ -10,7 +10,8 @@ solve     one normalized solve at the configured mass, seeded from the n/2
           grid when it is eligible (see solver.solve_normalized)
 sweep     bifurcation sweep over the configured mass ladder
 multi     deflated multi-start search for distinct solutions
-subspace  subspace ratio / level-bound study over the (k, n) lattice
+subspace  subspace ratio / level-bound study over the (k, n) lattice; exit 1
+          when a sampled direct sup lies above its level bound
 
 Configuration is a flat key=value text format with dotted section names
 (``grid.n_per_axis=24``).  Outputs are deterministic for a fixed config and
@@ -18,7 +19,8 @@ seed: JSON records use a fixed key order and 17 significant digits, CSV uses
 the same float format, and field snapshots are raw little-endian complex
 pairs behind a fixed 64-byte ASCII header.
 
-Exit codes: 0 success, 1 check/solve failure, 2 configuration error.
+Exit codes: 0 success, 1 check/solve/subspace-consistency failure, 2 configuration
+error.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ from .solver import (
     solve_normalized,
 )
 from .spectral_core import DiracSpace, FieldError, Grid, SpinorField
-from .subspaces import level_bound
+from .subspaces import level_bounds
 
 SNAPSHOT_MAGIC = "DIRACNORM v1"
 FORMAT_VERSION = 1
@@ -86,6 +88,14 @@ class RunConfig:
             raise FieldError("the mass constraint a > 0", "solve_a")
         if self.multi_k < 1:
             raise FieldError("the requirement k >= 1", "multi_k")
+        if min(self.subspace_k_list) < 1:
+            raise FieldError("the requirement k >= 1 for every subspace dimension",
+                             "subspace_k_list")
+        if not all(n > 0 for n in self.subspace_n_ladder):
+            raise FieldError("the requirement n > 0 for every envelope scale",
+                             "subspace_n_ladder")
+        if self.subspace_density < 0:
+            raise FieldError("the requirement density >= 0", "subspace_density")
         if self.format_version != FORMAT_VERSION:
             raise FieldError(f"the only written format version {FORMAT_VERSION}",
                              "format_version")
@@ -398,20 +408,31 @@ SUBSPACE_COLUMNS = [
 
 
 def cmd_subspace(cfg: RunConfig, out_dir: Path, quiet: bool) -> int:
+    """Write one row per (k, n), k-major; exit 1 if a direct sup exceeds its
+    level bound by more than the sampling slack."""
     space = DiracSpace(cfg.grid, cfg.mass)
     a = cfg.solve_a
+    ks = cfg.subspace_k_list
+    by_scale = [level_bounds(cfg.model, ks, n, a, space, density=cfg.subspace_density)
+                for n in cfg.subspace_n_ladder]
     rows = []
-    for k in cfg.subspace_k_list:
-        for n in cfg.subspace_n_ladder:
-            bound = level_bound(cfg.model, k, n, a, space, density=cfg.subspace_density)
-            report = bound.report
-            rows.append([k, int(n), report.sup_quad, report.inf_psi, report.ratio,
-                         report.injective, bound.analytic_bound, bound.below_half_level,
-                         ";".join(report.warnings)])
+    inconsistent = []
+    for bound in (per_k[i] for i in range(len(ks)) for per_k in by_scale):
+        report = bound.report
+        warnings = list(report.warnings)
+        if not bound.consistent:
+            warnings.append(f"direct sup {format_real(bound.direct_sup)} above level bound "
+                            f"{format_real(bound.analytic_bound)}")
+            inconsistent.append(f"k={bound.k} n={format_real(bound.n)}: {warnings[-1]}")
+        rows.append([bound.k, bound.n, report.sup_quad, report.inf_psi, report.ratio,
+                     report.injective, bound.analytic_bound, bound.below_half_level,
+                     ";".join(warnings)])
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_csv(out_dir / "subspace.csv", SUBSPACE_COLUMNS, rows)
+    for line in inconsistent:
+        print(f"subspace: row {line}", file=sys.stderr)
     _say(quiet, f"subspace: {len(rows)} (k, n) rows written")
-    return 0
+    return 1 if inconsistent else 0
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -238,13 +238,21 @@ def f_prime(model: NonlinearModel, x, t) -> ArrayF:
     )
 
 
+def psi_quadrature(model: NonlinearModel, grid: Grid, t) -> float | ArrayF:
+    """Grid quadrature of F(x, t(x)) for magnitudes t on the grid.
+
+    The last three axes of ``t`` are the grid's; a leading axis gives one
+    value per entry along it.
+    """
+    vals = _F_w(model, _grid_weight(model.weight, grid), t)
+    return grid.cell_volume * np.sum(vals, axis=(-3, -2, -1))
+
+
 def psi(model: NonlinearModel, u: SpinorField) -> float:
     """Grid quadrature of F(x, |u(x)|)."""
     if model.kind == "null":
         return 0.0
-    grid = u.space.grid
-    vals = _F_w(model, _grid_weight(model.weight, grid), u.point_norm())
-    return grid.cell_volume * float(np.sum(vals))
+    return float(psi_quadrature(model, u.space.grid, u.point_norm()))
 
 
 def psi_gradient(model: NonlinearModel, u: SpinorField) -> SpinorField:

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .nonlinearity import NonlinearModel, psi
+from .nonlinearity import NonlinearModel, psi_quadrature
 from .reduction import evaluate_reduced
 from .spectral_core import (
     ArrayF,
@@ -35,7 +35,6 @@ from .spectral_core import (
     eigen_spinor,
     l2_inner,
     l2_norm,
-    normalized,
     plane_wave,
     split,
 )
@@ -266,7 +265,7 @@ class SubspaceReport:
     the quadratic excess and the sampled inf of the potential."""
 
     k: int
-    n: int
+    n: float
     sup_quad: float
     inf_psi: float
     ratio: float
@@ -278,18 +277,52 @@ class SubspaceReport:
 
 def _plus_basis(
     space: DiracSpace, scale: float, basis: HermiteBasis
-) -> tuple[list[SpinorField], float]:
+) -> tuple[list[SpinorField], list[float]]:
+    """Plus parts of the basis envelopes at one scale, with the share of its
+    L2 mass each envelope keeps on the box."""
     fields = []
-    capture = 1.0
-    with warnings.catch_warnings(record=True) as caught:
+    captures = []
+    with warnings.catch_warnings(record=True):
         warnings.simplefilter("always", MassLeakWarning)
         for i in range(basis.dimension):
             coeffs = np.zeros(basis.dimension)
             coeffs[i] = 1.0
             u = scaled_envelope_field(space, scale, basis, coeffs)
-            capture = min(capture, l2_norm(u) ** 2)
+            captures.append(l2_norm(u) ** 2)
             fields.append(split(u).plus)
-    return fields, capture
+    return fields, captures
+
+
+#: Sphere samples per chunk of the Gram-form potential; each temporary holds
+#: this many real grid arrays.
+_PSI_CHUNK = 4
+
+
+def _pointwise_gram(fields: list[SpinorField]) -> ArrayF:
+    """M_ij(x) = Re sum_c p_i,c(x) conj(p_j,c(x)), shape (K, K) + grid shape."""
+    vals = np.stack([p.values for p in fields])
+    pairs = vals.view(np.float64).reshape(len(fields), 4, -1, 2)
+    return np.einsum("icxr,jcxr->ijx", pairs, pairs).reshape((len(fields),) * 2 + vals.shape[2:])
+
+
+def _sphere_psi(
+    model: NonlinearModel, grid: Grid, gram: ArrayF, pointwise: ArrayF, samples: ArrayF
+) -> ArrayF:
+    """psi of u_c / |u_c|_2 with u_c = sum_i c_i p_i, for each row c of samples.
+
+    ``gram`` is the L2 Gram matrix of the p_i and ``pointwise`` their
+    pointwise Gram matrices M(x) (see _pointwise_gram): |u_c(x)|^2 = c.M(x)c
+    and |u_c|_2^2 = c.G c, so no field is formed.
+    """
+    out = np.empty(len(samples))
+    for start in range(0, len(samples), _PSI_CHUNK):
+        c = samples[start : start + _PSI_CHUNK]
+        mass = np.einsum("bi,ij,bj->b", c, gram, c)
+        density = np.einsum("bi,bj,ijxyz->bxyz", c, c, pointwise) / mass[:, None, None, None]
+        # rounding can leave c.M(x)c slightly negative where u_c vanishes
+        t = np.sqrt(np.maximum(density, 0.0))
+        out[start : start + _PSI_CHUNK] = psi_quadrature(model, grid, t)
+    return out
 
 
 def subspace_ratio(
@@ -309,43 +342,52 @@ def subspace_ratio(
     bound.  Also reports injectivity of the plus projection via the Gram
     matrix of the spanning fields.
     """
-    return _subspace_report(model, k, n, base_space, density)[1]
+    return _subspace_reports(model, [k], n, base_space, density)[1][0]
 
 
-def _subspace_report(
-    model: NonlinearModel, k: int, n: float, base_space: DiracSpace, density: int
-) -> tuple[list[SpinorField], SubspaceReport]:
-    """The plus basis of subspace_ratio together with its report."""
+def _subspace_reports(
+    model: NonlinearModel, k_list: list[int], n: float, base_space: DiracSpace, density: int
+) -> tuple[list[SpinorField], list[SubspaceReport]]:
+    """The plus basis of the largest k in k_list at scale n, and the
+    subspace_ratio report of each k.
+
+    HermiteBasis.first is nested, so each k reads the leading k x k blocks
+    of the basis's Gram matrices and the capture of its first k fields.
+    """
+    if min(k_list) <= 0:
+        raise ValueError("basis dimension must be positive")
     space = subspace_space(base_space, n)
-    plus_fields, capture = _plus_basis(space, n, HermiteBasis.first(k))
-    gram = np.array([[l2_inner(pi, pj) for pj in plus_fields] for pi in plus_fields])
-    e_gram = np.array([[e_inner(pi, pj) for pj in plus_fields] for pi in plus_fields])
-    scale_diag = np.sqrt(np.diag(gram))
-    normalized_gram = gram / np.outer(scale_diag, scale_diag)
-    gram_min_eig = float(np.min(np.linalg.eigvalsh(normalized_gram)))
-    injective = gram_min_eig > 1e-8
-    # max of c.E c / c.G c over real c: whiten G = L L^T, top eigenvalue of L^-1 E L^-T
-    whiten = np.linalg.inv(np.linalg.cholesky(gram))
-    sup_quad = float(np.linalg.eigvalsh(whiten @ e_gram @ whiten.T)[-1]) - space.mass
-
-    vals = np.stack([p.values for p in plus_fields])
-    inf_psi = min(
-        psi(model, normalized(SpinorField(space, np.tensordot(c, vals, axes=(0, 0)))))
-        for c in sphere_samples(k, density * k)
-    )
-    report = SubspaceReport(
-        k=k,
-        n=int(n),
-        sup_quad=sup_quad,
-        inf_psi=float(inf_psi),
-        ratio=float(sup_quad / inf_psi) if inf_psi > 0 else np.inf,
-        injective=injective,
-        gram_min_eig=gram_min_eig,
-        mass_capture=capture,
-    )
-    if capture < 0.999:
-        report.warnings.append(f"mass capture {capture:.4f} below 0.999")
-    return plus_fields, report
+    plus_fields, captures = _plus_basis(space, n, HermiteBasis.first(max(k_list)))
+    full_gram = np.array([[l2_inner(pi, pj) for pj in plus_fields] for pi in plus_fields])
+    full_e_gram = np.array([[e_inner(pi, pj) for pj in plus_fields] for pi in plus_fields])
+    pointwise = _pointwise_gram(plus_fields)
+    reports = []
+    for k in k_list:
+        gram = full_gram[:k, :k].copy()
+        e_gram = full_e_gram[:k, :k].copy()
+        scale_diag = np.sqrt(np.diag(gram))
+        normalized_gram = gram / np.outer(scale_diag, scale_diag)
+        gram_min_eig = float(np.min(np.linalg.eigvalsh(normalized_gram)))
+        # max of c.E c / c.G c over real c: whiten G = L L^T, top eigenvalue of L^-1 E L^-T
+        whiten = np.linalg.inv(np.linalg.cholesky(gram))
+        sup_quad = float(np.linalg.eigvalsh(whiten @ e_gram @ whiten.T)[-1]) - space.mass
+        samples = sphere_samples(k, density * k)
+        inf_psi = float(np.min(_sphere_psi(model, space.grid, gram, pointwise[:k, :k], samples)))
+        capture = min(1.0, *captures[:k])
+        report = SubspaceReport(
+            k=k,
+            n=float(n),
+            sup_quad=sup_quad,
+            inf_psi=inf_psi,
+            ratio=float(sup_quad / inf_psi) if inf_psi > 0 else np.inf,
+            injective=gram_min_eig > 1e-8,
+            gram_min_eig=gram_min_eig,
+            mass_capture=capture,
+        )
+        if capture < 0.999:
+            report.warnings.append(f"mass capture {capture:.4f} below 0.999")
+        reports.append(report)
+    return plus_fields, reports
 
 
 @dataclass
@@ -353,7 +395,7 @@ class LevelBoundResult:
     """Minimax level bound of the reduced functional on one scaled subspace."""
 
     k: int
-    n: int
+    n: float
     a: float
     analytic_bound: float
     direct_sup: float
@@ -362,6 +404,84 @@ class LevelBoundResult:
     below_half_level: bool
     consistent: bool
     report: SubspaceReport
+
+
+def _sphere_key(c: ArrayF) -> tuple[float, ...]:
+    """c without its trailing zeros and with its first nonzero entry positive.
+
+    J is even, and a coefficient vector padded with zeros gives a
+    bit-identical field, so sphere points with one key have one J value.
+    """
+    nonzero = np.flatnonzero(c)
+    c = c[: nonzero[-1] + 1]
+    return tuple(float(x) for x in (c if c[nonzero[0]] > 0 else -c))
+
+
+def _reduced_on_sphere(
+    model: NonlinearModel, plus_fields: list[SpinorField], coeffs, a: float
+) -> float:
+    """J of sum_i coeffs_i p_i scaled to L2 norm a."""
+    combo = coeffs[0] * plus_fields[0]
+    for ci, p in zip(coeffs[1:], plus_fields[1:]):
+        combo = combo + ci * p
+    v = combo * (a / l2_norm(combo))
+    return evaluate_reduced(model, v, tol=1e-9 * a, need_gradient=False).j_val
+
+
+def level_bounds(
+    model: NonlinearModel,
+    k_list: list[int],
+    n: float,
+    a: float,
+    base_space: DiracSpace,
+    density: int = 64,
+    j_density: int = 8,
+    slack: float = 1e-6,
+) -> list[LevelBoundResult]:
+    """Upper bounds for the reduced level on the mass-a spheres of the
+    subspaces at scale n, one result per entry of ``k_list``.
+
+    The analytic-style bound is (a^2/2) sup e_norm^2 - 2^(1-2q) a^q inf psi
+    over the unit sphere of the subspace; the direct value is a sampled sup
+    of the reduced functional over the same sphere scaled to mass a.  The
+    direct sup must not exceed the analytic bound by more than sampling
+    slack once the mass is small.  The quadratic sup is exact, but inf psi
+    and the direct sup are sampled, so neither the bound nor its consistency
+    check is fully rigorous.
+
+    All dimensions share one plus basis, and J is evaluated once per
+    distinct sphere point (see _sphere_key): the signed basis rows of every
+    k reduce to the unit vectors e_1 .. e_max(k).
+    """
+    plus_fields, reports = _subspace_reports(model, k_list, n, base_space, density)
+    m = base_space.mass
+    q = model.q
+    half = 0.5 * m * a * a
+    j_memo: dict[tuple[float, ...], float] = {}
+    results = []
+    for k, report in zip(k_list, reports):
+        analytic = 0.5 * a * a * (m + report.sup_quad) - 2.0 ** (
+            1.0 - 2.0 * q
+        ) * a**q * report.inf_psi
+        direct = -np.inf
+        for c in sphere_samples(k, max(j_density * k - 2 * k, 0)):
+            key = _sphere_key(c)
+            if key not in j_memo:
+                j_memo[key] = _reduced_on_sphere(model, plus_fields, key, a)
+            direct = max(direct, j_memo[key])
+        results.append(LevelBoundResult(
+            k=k,
+            n=float(n),
+            a=a,
+            analytic_bound=float(analytic),
+            direct_sup=float(direct),
+            sup_quad=report.sup_quad,
+            inf_psi=report.inf_psi,
+            below_half_level=analytic < half,
+            consistent=direct <= analytic + slack + 1e-12 * abs(analytic),
+            report=report,
+        ))
+    return results
 
 
 def level_bound(
@@ -374,43 +494,5 @@ def level_bound(
     j_density: int = 8,
     slack: float = 1e-6,
 ) -> LevelBoundResult:
-    """Upper bound for the reduced level on the mass-a sphere of a subspace.
-
-    The analytic-style bound is (a^2/2) sup e_norm^2 - 2^(1-2q) a^q inf psi
-    over the unit sphere of the subspace; the direct value is a sampled sup
-    of the reduced functional over the same sphere scaled to mass a.  The
-    direct sup must not exceed the analytic bound by more than sampling
-    slack once the mass is small.  The quadratic sup is exact, but inf psi
-    and the direct sup are sampled, so neither the bound nor its consistency
-    check is fully rigorous.
-    """
-    plus_fields, report = _subspace_report(model, k, n, base_space, density)
-    m = base_space.mass
-    q = model.q
-    analytic = 0.5 * a * a * (m + report.sup_quad) - 2.0 ** (
-        1.0 - 2.0 * q
-    ) * a**q * report.inf_psi
-
-    samples = sphere_samples(k, max(j_density * k - 2 * k, 0))
-    direct = -np.inf
-    for c in samples:
-        combo = None
-        for ci, p in zip(c, plus_fields):
-            term = ci * p
-            combo = term if combo is None else combo + term
-        v = combo * (a / l2_norm(combo))
-        state = evaluate_reduced(model, v, tol=1e-9 * a, need_gradient=False)
-        direct = max(direct, state.j_val)
-    half = 0.5 * m * a * a
-    return LevelBoundResult(
-        k=k,
-        n=int(n),
-        a=a,
-        analytic_bound=float(analytic),
-        direct_sup=float(direct),
-        sup_quad=report.sup_quad,
-        inf_psi=report.inf_psi,
-        below_half_level=analytic < half,
-        consistent=direct <= analytic + slack + 1e-12 * abs(analytic),
-        report=report,
-    )
+    """The level_bounds result of the one dimension k."""
+    return level_bounds(model, [k], n, a, base_space, density, j_density, slack)[0]

@@ -223,6 +223,55 @@ def test_cmd_subspace_csv(tmp_path):
     assert len(lines) == 3
 
 
+SUBSPACE_SMALL = SMALL + "model.p=2.2\nmodel.q=2.2\nmodel.growth_alpha=2.2\nsubspace.k_list=1\n"
+
+
+def test_cmd_subspace_flags_a_direct_sup_above_its_level_bound(tmp_path, monkeypatch, capsys):
+    from types import SimpleNamespace
+
+    import diracnorm.subspaces as subspaces
+
+    monkeypatch.setattr(subspaces, "evaluate_reduced",
+                        lambda *args, **kwargs: SimpleNamespace(j_val=1.0))
+    out = tmp_path / "out"
+    cfg = _write(tmp_path, SUBSPACE_SMALL + f"subspace.n_ladder=2,4\nsubspace.sample_density=2\n"
+                           f"output.dir={out}\n")
+    assert main(["subspace", "--config", cfg, "--quiet"]) == 1
+    rows = (out / "subspace.csv").read_text().strip().splitlines()[1:]
+    assert len(rows) == 2
+    for row, n in zip(rows, ("2", "4")):
+        bound = row.split(",")[6]
+        assert row.startswith(f"1,{n},")
+        assert row.endswith(f"direct sup 1 above level bound {bound}")
+    err = capsys.readouterr().err
+    assert "subspace: row k=1 n=2: direct sup 1 above level bound" in err
+    assert "subspace: row k=1 n=4: direct sup 1 above level bound" in err
+
+
+@pytest.mark.parametrize("line,condition", [
+    ("subspace.k_list=0", "k >= 1"),
+    ("subspace.k_list=2,-1", "k >= 1"),
+    ("subspace.n_ladder=2,-4", "n > 0"),
+    ("subspace.n_ladder=0", "n > 0"),
+    ("subspace.sample_density=-3", "density >= 0"),
+])
+def test_rejects_subspace_lists_that_cannot_run(tmp_path, capsys, line, condition):
+    with pytest.raises(ConfigError) as info:
+        parse_config(f"# c\n{line}\n")
+    assert str(info.value).startswith(f"line 2: {line} violates the requirement {condition}")
+    assert main(["subspace", "--config", _write(tmp_path, f"# c\n{line}\n")]) == 2
+    assert f"config error: line 2: {line} violates" in capsys.readouterr().err
+
+
+def test_cmd_subspace_runs_at_density_zero_and_keeps_a_fractional_scale(tmp_path):
+    out = tmp_path / "out"
+    cfg = _write(tmp_path, SUBSPACE_SMALL + f"subspace.n_ladder=2,2.5\nsubspace.sample_density=0\n"
+                           f"output.dir={out}\n")
+    assert main(["subspace", "--config", cfg, "--quiet"]) == 0
+    rows = (out / "subspace.csv").read_text().strip().splitlines()[1:]
+    assert [row.split(",")[:2] for row in rows] == [["1", "2"], ["1", "2.5"]]
+
+
 def test_cli_seed_override_changes_nothing_for_fixed_problem(tmp_path):
     out = tmp_path / "out"
     cfg = _write(tmp_path, SMALL + f"output.dir={out}\n")

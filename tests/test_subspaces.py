@@ -19,17 +19,24 @@ from diracnorm import (
     l2_inner,
     l2_norm,
     level_bound,
+    level_bounds,
     mean_value,
     null_model,
     periodic_solution_phi,
     pure_power,
     split,
     subspace_ratio,
+    two_power,
 )
+from diracnorm.cli import main
+from diracnorm.nonlinearity import psi
+from diracnorm.spectral_core import normalized
 
 from diracnorm.subspaces import (
     HermiteBasis,
     MassLeakWarning,
+    _pointwise_gram,
+    _sphere_psi,
     envelope_operator_norms,
     hermite_multi_indices,
     scaled_envelope_field,
@@ -299,3 +306,56 @@ def test_subspace_bounds_run_without_scipy():
     run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, timeout=300)
     assert run.returncode == 0, run.stderr
+
+
+def test_level_bounds_match_standalone_level_bounds():
+    base = DiracSpace(Grid(12, 12.0), 1.0)
+    model = pure_power(2.2)
+    shared = level_bounds(model, [1, 2, 3], 4.0, 0.1, base, density=4)
+    for k, got in zip([1, 2, 3], shared):
+        alone = level_bound(model, k, 4.0, 0.1, base, density=4)
+        assert (got.k, got.n) == (k, 4.0)
+        assert got.direct_sup.hex() == alone.direct_sup.hex()
+        assert got.consistent == alone.consistent
+        for name in ("sup_quad", "gram_min_eig", "injective", "mass_capture", "warnings"):
+            assert getattr(got.report, name) == getattr(alone.report, name), name
+        assert abs(got.inf_psi - alone.inf_psi) <= 1e-13 * alone.inf_psi
+
+
+def test_cmd_subspace_evaluates_each_distinct_sphere_point_once(tmp_path, monkeypatch):
+    import diracnorm.subspaces as subspaces
+
+    calls = []
+    evaluate = subspaces.evaluate_reduced
+    monkeypatch.setattr(subspaces, "evaluate_reduced",
+                        lambda *args, **kwargs: calls.append(1) or evaluate(*args, **kwargs))
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("grid.n_per_axis=12\ngrid.box_length=12.0\nmodel.p=2.2\nmodel.q=2.2\n"
+                   "model.growth_alpha=2.2\nsubspace.n_ladder=2,4\nsubspace.sample_density=4\n")
+    assert main(["subspace", "--config", str(cfg), "--output", str(tmp_path), "--quiet"]) == 0
+    # per scale: e_1, e_2, e_3 and the 12 + 18 random points of k = 2, 3
+    assert len(calls) == 66
+
+
+_MODELS = {"pure_power": pure_power(2.2), "two_power": two_power(2.2, 2.6), "null": null_model()}
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    coeffs=st.lists(st.floats(-1.0, 1.0, allow_nan=False), min_size=1, max_size=3).filter(
+        lambda c: np.linalg.norm(c) > 1e-3
+    ),
+    kind=st.sampled_from(sorted(_MODELS)),
+)
+def test_gram_form_psi_matches_psi_of_the_normalized_field(coeffs, kind):
+    fields, _ = _plus_span(3, 4.0)
+    k = len(coeffs)
+    fields = fields[:k]
+    gram = np.array([[l2_inner(p, q) for q in fields] for p in fields])
+    samples = np.array([coeffs])
+    got = _sphere_psi(_MODELS[kind], fields[0].space.grid, gram, _pointwise_gram(fields), samples)
+    combo = fields[0] * coeffs[0]
+    for c, p in zip(coeffs[1:], fields[1:]):
+        combo = combo + p * c
+    want = psi(_MODELS[kind], normalized(combo))
+    assert abs(got[0] - want) <= 1e-12 * abs(want)
