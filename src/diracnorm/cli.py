@@ -21,11 +21,20 @@ pairs behind a fixed 64-byte ASCII header.
 
 Exit codes: 0 success, 1 check/solve/subspace-consistency failure, 2 configuration
 error.
+
+Under glibc, ``main`` keeps the process's freed heap instead of giving it back
+to the kernel: every inner-ascent step allocates fresh 4n³ complex
+temporaries, and trimming them at glibc's default 128 KiB threshold made the
+next step fault the pages in again.  Outputs are unchanged; a program that
+imports the library keeps its own allocator settings.
 """
 
 from __future__ import annotations
 
 import argparse
+import ctypes
+import functools
+import os
 import sys
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
@@ -47,6 +56,9 @@ from .subspaces import level_bounds
 
 SNAPSHOT_MAGIC = "DIRACNORM v1"
 FORMAT_VERSION = 1
+# glibc's mallopt parameters (malloc.h)
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
 
 
 class ConfigError(ValueError):
@@ -247,15 +259,27 @@ def save_field_snapshot(path: str | Path, u: SpinorField, a: float) -> None:
 
 
 def load_field_snapshot(path: str | Path) -> tuple[SpinorField, float]:
+    """Read a snapshot written by save_field_snapshot; a malformed header or
+    a data block of the wrong size raises ValueError naming the path."""
     blob = Path(path).read_bytes()
-    header = blob[:64].decode("ascii").strip()
+    header = blob[:64].decode("ascii", errors="replace").strip()
     if not header.startswith(SNAPSHOT_MAGIC):
-        raise ValueError(f"not a field snapshot: header {header!r}")
-    parts = header[len(SNAPSHOT_MAGIC):].split()
-    n, box, mass, a = int(parts[0]), float(parts[1]), float(parts[2]), float(parts[3])
-    flat = np.frombuffer(blob[64:], dtype="<c16")
+        raise ValueError(f"{path}: not a field snapshot: header {header!r}")
+    try:
+        n_text, box_text, mass_text, a_text = header[len(SNAPSHOT_MAGIC):].split()
+        n, a = int(n_text), float(a_text)
+        space = DiracSpace(Grid(n, float(box_text)), float(mass_text))
+    except ValueError as exc:
+        raise ValueError(f"{path}: snapshot header {header!r} is not "
+                         f"'{SNAPSHOT_MAGIC} n box mass a': {exc}") from exc
+    data = blob[64:]
+    count = 4 * n**3
+    if len(data) != 16 * count:
+        stray = f" and {len(data) % 16} stray bytes" if len(data) % 16 else ""
+        raise ValueError(f"{path}: expected {count} complex values (4·{n}³) after the "
+                         f"header, found {len(data) // 16}{stray}")
+    flat = np.frombuffer(data, dtype="<c16")
     values = np.transpose(flat.reshape(n, n, n, 4), (3, 2, 1, 0)).copy()
-    space = DiracSpace(Grid(n, box), mass)
     return SpinorField(space, values), a
 
 
@@ -435,7 +459,28 @@ def cmd_subspace(cfg: RunConfig, out_dir: Path, quiet: bool) -> int:
     return 1 if inconsistent else 0
 
 
+@functools.cache
+def _keep_freed_heap() -> None:
+    """Stop glibc from trimming the heap top and from mapping large blocks.
+
+    Both thresholds are set: fixing the trim threshold alone also freezes the
+    mmap threshold at its 128 KiB default, and the 24³ temporaries then go
+    through mmap/munmap and fault in just as often.  No-op on other libcs.
+    """
+    try:
+        if not os.confstr("CS_GNU_LIBC_VERSION"):
+            return
+    except (AttributeError, ValueError, OSError):  # no confstr, or not glibc
+        return
+    mallopt = ctypes.CDLL(None).mallopt
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, 32 << 20)  # the 64-bit maximum
+    mallopt(_M_TRIM_THRESHOLD, 1 << 30)
+
+
 def main(argv: list[str] | None = None) -> int:
+    _keep_freed_heap()
     parser = argparse.ArgumentParser(
         prog="diracnorm",
         description="Normalized solitary-wave solver for a nonlinear Dirac equation",
