@@ -501,7 +501,11 @@ def main(argv: list[str] | None = None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     if args.seed is not None:
-        cfg.solver = replace(cfg.solver, seed=args.seed)
+        try:
+            cfg.solver = replace(cfg.solver, seed=args.seed)
+        except FieldError as exc:
+            print(f"config error: --seed {args.seed} violates {exc}", file=sys.stderr)
+            return 2
     out_dir = Path(args.output) if args.output else Path(cfg.output_dir)
     commands = {
         "check": cmd_check,

@@ -93,13 +93,8 @@ def _growth_check(name, description, margins, scale, tight, points) -> SampledCh
     return check
 
 
-def check_growth(
-    model: NonlinearModel,
-    sample_count: int = 10000,
-    seed: int = 7,
-    box_half: float = 8.0,
-) -> CheckReport:
-    """Sample-verify the growth inequalities implied by (f1)-(f5).
+def check_growth(model: NonlinearModel, sample_count: int = 10000, seed: int = 7) -> CheckReport:
+    """Sample-verify the growth inequalities implied by (f1)-(f5) at x in [-8, 8]^3.
 
     Checks, with worst-case margins over random (x, t) and scaling factors:
       * derivative pinch  (p-2) f <= f' t <= (q-2) f  and positivity of f;
@@ -115,7 +110,7 @@ def check_growth(
         raise ValueError("growth checks need a pure_power or two_power model")
     rng = np.random.default_rng(seed)
     n = int(sample_count)
-    x = rng.uniform(-box_half, box_half, size=(n, 3))
+    x = rng.uniform(-8.0, 8.0, size=(n, 3))
     t = np.exp(rng.uniform(np.log(1e-3), np.log(1e2), size=n))
     s_up = np.exp(rng.uniform(0.0, np.log(10.0), size=n))
     s_dn = np.exp(rng.uniform(np.log(0.1), 0.0, size=n))

@@ -25,6 +25,7 @@ norm domination e_norm^2 >= m l2^2 forces l2_norm(w) <= a / 2.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,6 +38,7 @@ from .spectral_core import (
     e_norm,
     l2_inner,
     l2_norm,
+    random_field,
     riesz_minus,
     riesz_plus,
     split,
@@ -64,6 +66,23 @@ def minus_ball_radius(space: DiracSpace, a: float) -> float:
     return 0.5 * np.sqrt(space.mass) * a
 
 
+def _chart_coeff(a: float, w: SpinorField) -> float:
+    """Coefficient sqrt(a^2 - |w|_2^2) / a of the plus field in the fiber chart."""
+    wl2 = l2_norm(w)
+    return np.sqrt(max(a**2 - wl2 * wl2, 0.0)) / a
+
+
+def _ball_norm(w: SpinorField, radius: float) -> float:
+    """e_norm(w); raises DomainError when w leaves the minus ball of that radius."""
+    wn = e_norm(w)
+    if wn > radius * (1.0 + 1e-9):
+        raise DomainError(
+            f"minus field outside the admissible ball: e_norm(w)={wn:.6e} > "
+            f"sqrt(m) a / 2 = {radius:.6e}"
+        )
+    return wn
+
+
 def h_map(v: SpinorField, w: SpinorField) -> SpinorField:
     """Fiber chart: mass-preserving combination of a plus field and a minus field.
 
@@ -73,16 +92,8 @@ def h_map(v: SpinorField, w: SpinorField) -> SpinorField:
     a = l2_norm(v)
     if a == 0.0:
         raise DomainError("h_map needs a nonzero plus field")
-    wn = e_norm(w)
-    radius = minus_ball_radius(v.space, a)
-    if wn > radius * (1.0 + 1e-9):
-        raise DomainError(
-            f"minus field outside the admissible ball: e_norm(w)={wn:.6e} > "
-            f"sqrt(m) a / 2 = {radius:.6e} (a={a:.6e})"
-        )
-    wl2 = l2_norm(w)
-    coeff = np.sqrt(max(a * a - wl2 * wl2, 0.0)) / a
-    return coeff * v + w
+    _ball_norm(w, minus_ball_radius(v.space, a))
+    return _chart_coeff(a, w) * v + w
 
 
 def energy(model: NonlinearModel, u: SpinorField) -> float:
@@ -108,13 +119,16 @@ class _Fiber:
         self.precond = 1.0 / (1.0 + (self.env2 / self.a**2) / self.space.lam)
 
     def parts(self, w: SpinorField) -> tuple[float, SpinorField]:
-        wl2 = l2_norm(w)
-        c = np.sqrt(max(self.a**2 - wl2 * wl2, 0.0)) / self.a
+        c = _chart_coeff(self.a, w)
         return c, c * self.v + w
+
+    def level(self, c: float, wn: float, u: SpinorField) -> float:
+        """Fiber energy of u = c v + w, given c and wn = e_norm(w)."""
+        return 0.5 * c * c * self.env2 - 0.5 * wn**2 - psi(self.model, u)
 
     def value(self, w: SpinorField) -> float:
         c, u = self.parts(w)
-        return 0.5 * c * c * self.env2 - 0.5 * e_norm(w) ** 2 - psi(self.model, u)
+        return self.level(c, e_norm(w), u)
 
     def gradient(self, w: SpinorField):
         """E-metric ascent direction of the inner value at w.
@@ -147,11 +161,12 @@ class InnerResult:
     w_star: SpinorField
     iterations: int
     certificate: InnerCertificate
-    # cached maximizer data: (coeff, field, nonlinear gradient, multiplier)
+    # cached maximizer data: (coeff, field, nonlinear gradient, multiplier, level)
     coeff: float = 0.0
     maximizer: SpinorField | None = None
     fu: SpinorField | None = None
     kappa_val: float = 0.0
+    j_val: float = 0.0
 
 
 def inner_gradient(model: NonlinearModel, v: SpinorField, w: SpinorField) -> SpinorField:
@@ -161,38 +176,27 @@ def inner_gradient(model: NonlinearModel, v: SpinorField, w: SpinorField) -> Spi
     warns when w sits within 1e-10 of the admissible ball boundary.
     """
     fiber = _Fiber(model, v)
-    wn = e_norm(w)
-    if wn > fiber.radius * (1.0 + 1e-9):
-        raise DomainError(
-            f"minus field outside the admissible ball: e_norm(w)={wn:.6e} > "
-            f"{fiber.radius:.6e}"
-        )
+    wn = _ball_norm(w, fiber.radius)
     if wn > fiber.radius * (1.0 - 1e-10):
-        import warnings
-
         warnings.warn("inner gradient evaluated at the minus-ball boundary", stacklevel=2)
     grad, _ = fiber.gradient(w)
     return grad
 
 
 def sample_concavity(
-    model: NonlinearModel,
-    v: SpinorField,
-    w: SpinorField,
-    z: SpinorField,
-    rel_step: float = 1e-3,
+    model: NonlinearModel, v: SpinorField, w: SpinorField, z: SpinorField
 ) -> float:
     """Second difference of the inner value at w along z, per unit e-norm^2.
 
-    Returns (phi(w + t z) - 2 phi(w) + phi(w - t z)) / (t^2 e_norm(z)^2); the
-    inner problem is strictly concave when this stays below -1/4 for small
-    masses.
+    Returns (phi(w + t z) - 2 phi(w) + phi(w - t z)) / (t^2 e_norm(z)^2) with
+    t = 1e-3 radius / e_norm(z); the inner problem is strictly concave when
+    this stays below -1/4 for small masses.
     """
     fiber = _Fiber(model, v)
     zn = e_norm(z)
     if zn == 0.0:
         raise ValueError("direction z must be nonzero")
-    t = rel_step * fiber.radius / zn
+    t = 1e-3 * fiber.radius / zn
     f0 = fiber.value(w)
     fp = fiber.value(w + t * z)
     fm = fiber.value(w - t * z)
@@ -254,7 +258,8 @@ def inner_maximize(
             f"inner maximization did not converge in {max_iter} iterations "
             f"(gradient norm {gnorm:.3e}, tol {tol:.3e})"
         )
-    boundary_fraction = e_norm(w) / fiber.radius
+    wn = e_norm(w)
+    boundary_fraction = wn / fiber.radius
     if boundary_fraction >= 0.999:
         raise SmallnessError(
             "inner maximizer reached the minus-ball boundary "
@@ -263,13 +268,12 @@ def inner_maximize(
     margin = None
     if certify:
         rng = np.random.default_rng(7)
-        from .spectral_core import random_field
-
         z = random_field(fiber.space, rng, bandwidth=2.0, part="minus")
         margin = sample_concavity(model, v, w, z)
     cert = InnerCertificate(gnorm, iterations, boundary_fraction, margin)
     c, u, fu, kap = aux
-    return InnerResult(w, iterations, cert, coeff=c, maximizer=u, fu=fu, kappa_val=kap)
+    return InnerResult(w, iterations, cert, coeff=c, maximizer=u, fu=fu, kappa_val=kap,
+                       j_val=fiber.level(c, wn, u))
 
 
 def reduce(model: NonlinearModel, v: SpinorField, tol: float | None = None) -> SpinorField:
@@ -357,20 +361,14 @@ def evaluate_reduced(
 ) -> ReducedState:
     """Inner-maximize at v and package value, multiplier and (optionally) gradient."""
     res = inner_maximize(model, v, tol=tol, w0=w0, max_iter=max_iter, certify=False)
-    fiber_a = l2_norm(v)
-    j = (
-        0.5 * res.coeff**2 * e_norm(v) ** 2
-        - 0.5 * e_norm(res.w_star) ** 2
-        - psi(model, res.maximizer)
-    )
     state = ReducedState(
         v=v,
-        a=fiber_a,
+        a=l2_norm(v),
         w=res.w_star,
         g=res.maximizer,
         fu=res.fu,
         kappa_val=res.kappa_val,
-        j_val=j,
+        j_val=res.j_val,
         inner_residual=res.certificate.grad_norm,
         inner_iterations=res.iterations,
         fiber_coeff=res.coeff,

@@ -45,6 +45,7 @@ from .spectral_core import (
     riesz_plus,
     split,
 )
+from .subspaces import HermiteBasis, _plus_basis
 
 
 class DescentStallError(RuntimeError):
@@ -82,6 +83,8 @@ class SolverOptions:
         for name in ("tol_grad", "tol_inner", "step_init", "max_outer", "max_inner"):
             if not getattr(self, name) > 0:
                 raise FieldError(f"{name} must be positive", name)
+        if self.seed < 0:
+            raise FieldError("seed must be nonnegative", "seed")
         if not (0.0 < self.armijo_c < 1.0):
             raise FieldError("armijo_c must lie in (0, 1)", "armijo_c")
         if self.a_max is not None and not self.a_max > 0:
@@ -604,12 +607,11 @@ def multi_start_deflated(
     Starts from plus-projected scaled-envelope basis fields (symmetric and
     antisymmetric profiles) plus two random smooth starts; after each converged
     solve, later runs add the repulsive penalty strength/|v - v_i|_2^2 around
-    every found sphere point.  Every candidate is re-verified with the
-    penalty removed before being reported.  Fewer-than-requested outcomes are
-    reported, not raised.
+    every found sphere point.  An undeflated search that converged is its own
+    verified record; every other end point is verified by one undeflated
+    descent from it, whose first evaluation is the check.  Fewer-than-requested
+    outcomes are reported, not raised.
     """
-    from .subspaces import HermiteBasis, _plus_basis
-
     if k <= 0:
         raise ValueError("k must be positive")
     opts = _with_a_max(model, space, opts)
@@ -629,37 +631,29 @@ def multi_start_deflated(
     for v0 in starts:
         rec = _record(model, a, v0, opts_deflated if centers else opts, centers)
         all_records.append(rec)
-        # re-verify without the penalty; the record carries the outer
-        # iterations of the search and of the polish it needed
-        ver = extract_solution(model, rec.v_star, opts)
-        ver.iterations = rec.iterations
-        if not ver.converged:
+        ver = rec
+        if centers or not rec.converged:
+            # the record carries the outer iterations of the search and the polish
             ver = _record(model, a, rec.v_star, opts)
             ver.iterations += rec.iterations
         if ver.converged:
             verified.append(ver)
             centers.append(ver.v_star)
 
-    # drop near-duplicates (same sphere point reached twice)
-    kept: list[SolutionRecord] = []
-    for rec in verified:
-        dup = any(
-            l2_norm(rec.u - other.u) <= 1e-3 * a for other in kept
-        )
-        if not dup:
-            kept.append(rec)
-    families = _family_groups(kept, space.mass, a)
-    reps = [grp[0] for grp in families]
-    records = [kept[i] for i in reps]
-    n = len(kept)
-    dist = np.zeros((n, n))
-    fam = np.zeros((n, n), dtype=bool)
+    # one distance per pair; drop near-duplicates (same sphere point reached twice)
+    n = len(verified)
+    table = np.zeros((n, n))
     for i in range(n):
         for j in range(i + 1, n):
-            d = l2_norm(kept[i].u - kept[j].u)
-            dist[i, j] = dist[j, i] = d
+            table[i, j] = table[j, i] = l2_norm(verified[i].u - verified[j].u)
+    keep: list[int] = []
+    for j in range(n):
+        if not any(table[i, j] <= 1e-3 * a for i in keep):
+            keep.append(j)
+    kept = [verified[j] for j in keep]
+    families = _family_groups(kept, space.mass, a)
+    records = [kept[grp[0]] for grp in families]
+    fam = np.zeros((len(kept), len(kept)), dtype=bool)
     for grp in families:
-        for i in grp:
-            for j in grp:
-                fam[i, j] = True
-    return MultiResult(records, all_records, families, dist, fam, k)
+        fam[np.ix_(grp, grp)] = True
+    return MultiResult(records, all_records, families, table[np.ix_(keep, keep)], fam, k)

@@ -55,6 +55,9 @@ ALPHA: ArrayC = _alpha_matrices()
 #: The 4x4 mass-term matrix diag(1, 1, -1, -1).
 BETA: ArrayC = np.diag([1.0, 1.0, -1.0, -1.0]).astype(np.complex128)
 
+#: The constant upper spinor (1, 0, 0, 0), an eigenvector of BETA at +1.
+_UPPER_SPINOR: ArrayC = np.array([1.0, 0.0, 0.0, 0.0], dtype=np.complex128)
+
 
 class FieldError(ValueError):
     """A dataclass rejected a field value.
@@ -470,12 +473,9 @@ def random_field(
     return out
 
 
-def gaussian_spinor(
-    space: DiracSpace, center, width: float, chi=(1.0, 0.0, 0.0, 0.0)
-) -> SpinorField:
-    """Gaussian envelope exp(-|x - c|^2 / (2 w^2)) times a constant spinor."""
-    chi = np.asarray(chi, dtype=np.complex128).reshape(4)
+def gaussian_spinor(space: DiracSpace, center, width: float) -> SpinorField:
+    """Gaussian envelope exp(-|x - c|^2 / (2 w^2)) times the spinor (1, 0, 0, 0)."""
     cx, cy, cz = np.asarray(center, dtype=float)
     x, y, z = space.grid.position_mesh()
     env = np.exp(-((x - cx) ** 2 + (y - cy) ** 2 + (z - cz) ** 2) / (2.0 * width**2))
-    return SpinorField(space, chi[:, None, None, None] * env[None, :, :, :].astype(np.complex128))
+    return SpinorField(space, _UPPER_SPINOR[:, None, None, None] * env[None].astype(np.complex128))

@@ -29,6 +29,7 @@ from .spectral_core import (
     DiracSpace,
     Grid,
     SpinorField,
+    _UPPER_SPINOR,
     apply_h0,
     e_inner,
     e_norm,
@@ -147,20 +148,15 @@ def periodic_solution_phi(space: DiracSpace, lam: float) -> SpinorField:
     return plane_wave(space, mode, chi)
 
 
-def mean_value(
-    g,
-    box_sizes,
-    tol: float = 1e-8,
-    points_per_unit: float = 4.0,
-    max_axis_points: int = 512,
-) -> float:
+def mean_value(g, box_sizes) -> float:
     """Large-box average of a periodic / almost-periodic function on R^3.
 
     ``g`` is a vectorized callable of three broadcastable coordinate arrays.
-    Averages (1/T^3) int over [0, T]^3 by the midpoint rule along the given
-    increasing ladder of box sizes; returns as soon as two successive
-    averages differ by less than ``tol``.  Raises if the ladder is exhausted
-    without the averages settling.
+    Averages (1/T^3) int over [0, T]^3 by the midpoint rule, with 4 points
+    per unit length up to 512 per axis, along the given increasing ladder of
+    box sizes; returns as soon as two successive averages differ by less
+    than 1e-8.  Raises if the ladder is exhausted without the averages
+    settling.
     """
     box_sizes = list(box_sizes)
     if len(box_sizes) < 2:
@@ -169,45 +165,37 @@ def mean_value(
         raise ValueError("box sizes must be strictly increasing")
     prev = None
     for size in box_sizes:
-        n_axis = int(min(max(8, round(points_per_unit * size)), max_axis_points))
+        n_axis = int(min(max(8, round(4.0 * size)), 512))
         pts = (np.arange(n_axis) + 0.5) * (size / n_axis)
         acc = 0.0
         for x_slab in pts:  # slab over the first axis keeps memory flat
             acc += float(np.sum(g(x_slab, pts[:, None], pts[None, :])))
         avg = acc / n_axis**3
-        if prev is not None and abs(avg - prev) < tol:
+        if prev is not None and abs(avg - prev) < 1e-8:
             return avg
         prev = avg
-    raise RuntimeError(
-        f"box averages did not settle below {tol:g} on the ladder {box_sizes}"
-    )
+    raise RuntimeError(f"box averages did not settle below 1e-08 on the ladder {box_sizes}")
 
 
 def scaled_envelope_field(
-    space: DiracSpace,
-    scale: float,
-    basis: HermiteBasis,
-    coeffs,
-    chi=(1.0, 0.0, 0.0, 0.0),
-    leak_threshold: float = 0.999,
+    space: DiracSpace, scale: float, basis: HermiteBasis, coeffs
 ) -> SpinorField:
     """Band-edge eigenfield modulated by a dilated Hermite combination.
 
     Returns scale^(-3/2) * zeta(x / scale) * chi with zeta the coefficient
-    combination of the basis; for the constant band-edge spinor the mean of
-    |chi|^2 is exactly 1 and the continuum L2 norm equals |coeffs|.  Warns
-    when the box captures less than ``leak_threshold`` of that mass.
+    combination of the basis and chi = (1, 0, 0, 0), the constant band-edge
+    spinor: the mean of |chi|^2 is exactly 1 and the continuum L2 norm equals
+    |coeffs|.  Warns when the box captures less than 0.999 of that mass.
     """
     if scale <= 0:
         raise ValueError("scale must be positive")
-    chi = np.asarray(chi, dtype=np.complex128).reshape(4)
     zeta = basis.grid_values(space.grid, coeffs, scale=scale)
-    values = (scale ** (-1.5)) * zeta[None, :, :, :] * chi[:, None, None, None]
+    values = (scale ** (-1.5)) * zeta[None, :, :, :] * _UPPER_SPINOR[:, None, None, None]
     out = SpinorField(space, values.astype(np.complex128))
     expected = float(np.sum(np.square(np.asarray(coeffs, dtype=float))))
     if expected > 0:
         captured = l2_norm(out) ** 2 / expected
-        if captured < leak_threshold:
+        if captured < 0.999:
             warnings.warn(
                 f"scaled envelope at scale {scale:g} keeps only {captured:.4f} "
                 f"of its L2 mass on the box (length {space.grid.box_length:g})",
@@ -217,9 +205,10 @@ def scaled_envelope_field(
     return out
 
 
-def subspace_space(base: DiracSpace, scale: float, width_factor: float = 6.0) -> DiracSpace:
-    """Space whose box holds a scaled envelope; reuses the base when it fits."""
-    box = max(base.grid.box_length, width_factor * scale)
+def subspace_space(base: DiracSpace, scale: float) -> DiracSpace:
+    """Space whose box, at least 6 scales wide, holds a scaled envelope;
+    reuses the base when it fits."""
+    box = max(base.grid.box_length, 6.0 * scale)
     if box == base.grid.box_length:
         return base
     return DiracSpace(Grid(base.grid.n_per_axis, box), base.mass)
@@ -436,7 +425,6 @@ def level_bounds(
     base_space: DiracSpace,
     density: int = 64,
     j_density: int = 8,
-    slack: float = 1e-6,
 ) -> list[LevelBoundResult]:
     """Upper bounds for the reduced level on the mass-a spheres of the
     subspaces at scale n, one result per entry of ``k_list``.
@@ -444,8 +432,8 @@ def level_bounds(
     The analytic-style bound is (a^2/2) sup e_norm^2 - 2^(1-2q) a^q inf psi
     over the unit sphere of the subspace; the direct value is a sampled sup
     of the reduced functional over the same sphere scaled to mass a.  The
-    direct sup must not exceed the analytic bound by more than sampling
-    slack once the mass is small.  The quadratic sup is exact, but inf psi
+    direct sup must not exceed the analytic bound by more than the sampling
+    slack 1e-6 once the mass is small.  The quadratic sup is exact, but inf psi
     and the direct sup are sampled, so neither the bound nor its consistency
     check is fully rigorous.
 
@@ -478,7 +466,7 @@ def level_bounds(
             sup_quad=report.sup_quad,
             inf_psi=report.inf_psi,
             below_half_level=analytic < half,
-            consistent=direct <= analytic + slack + 1e-12 * abs(analytic),
+            consistent=direct <= analytic + 1e-6 + 1e-12 * abs(analytic),
             report=report,
         ))
     return results
@@ -492,7 +480,6 @@ def level_bound(
     base_space: DiracSpace,
     density: int = 64,
     j_density: int = 8,
-    slack: float = 1e-6,
 ) -> LevelBoundResult:
     """The level_bounds result of the one dimension k."""
-    return level_bounds(model, [k], n, a, base_space, density, j_density, slack)[0]
+    return level_bounds(model, [k], n, a, base_space, density, j_density)[0]

@@ -304,6 +304,21 @@ def test_cli_seed_override_changes_nothing_for_fixed_problem(tmp_path):
     assert (out / "solution.json").exists()
 
 
+def test_a_negative_seed_in_the_config_cites_its_line(tmp_path, capsys):
+    with pytest.raises(ConfigError, match=r"^line 2: solver\.seed=-3 violates seed"):
+        parse_config("# c\nsolver.seed=-3\n")
+    assert main(["check", "--config", _write(tmp_path, "# c\nsolver.seed=-3\n")]) == 2
+    assert "config error: line 2: solver.seed=-3 violates" in capsys.readouterr().err
+
+
+def test_a_negative_seed_override_is_a_config_error(tmp_path, capsys):
+    out = tmp_path / "out"
+    cfg = _write(tmp_path, SMALL + f"output.dir={out}\n")
+    assert main(["solve", "--config", cfg, "--seed", "-1", "--quiet"]) == 2
+    assert "config error: --seed -1 violates seed" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def _glibc() -> bool:
     try:
         return bool(os.confstr("CS_GNU_LIBC_VERSION"))

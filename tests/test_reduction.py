@@ -21,8 +21,9 @@ from diracnorm import (
     reduce,
     reduced_gradient,
     reduced_value,
+    two_power,
 )
-from diracnorm.reduction import minus_ball_radius, sample_concavity, tangent_project
+from diracnorm.reduction import _Fiber, minus_ball_radius, sample_concavity, tangent_project
 from diracnorm.spectral_core import (
     SpinorField,
     constant_field,
@@ -435,3 +436,14 @@ def test_reduced_state_keeps_the_inner_nonlinear_gradient(space12, rng):
     model = pure_power(2.5)
     state = evaluate_reduced(model, _plus(space12, rng, 0.1), need_gradient=False)
     assert np.array_equal(state.fu.values, psi_gradient(model, state.g).values)
+
+
+@pytest.mark.parametrize(
+    "model", [pure_power(2.5), two_power(2.2, 2.8), null_model()], ids=lambda m: m.kind
+)
+def test_reduced_level_is_the_fiber_value_at_the_maximizer(space12, rng, model):
+    a = 0.1
+    v = _plus(space12, rng, a)
+    state = evaluate_reduced(model, v, need_gradient=False)
+    assert float.hex(state.j_val) == float.hex(_Fiber(model, v).value(state.w))
+    assert abs(state.j_val - energy(model, state.g)) <= 1e-12 * a * a

@@ -271,3 +271,35 @@ def test_auto_a_max_is_calibrated_once_per_sweep_and_multi(space12, monkeypatch)
     spaces.clear()
     multi_start_deflated(model, 0.1, 2, opts, space12)
     assert spaces == [space12]
+
+
+def _cold_points(monkeypatch, opts, space):
+    """The sphere points multi_start_deflated inner-solves from w0=None."""
+    points = []
+    evaluate = solver_module.evaluate_reduced
+
+    def recording(model, v, *args, **kwargs):
+        if kwargs.get("w0") is None:
+            points.append(v)
+        return evaluate(model, v, *args, **kwargs)
+
+    monkeypatch.setattr(solver_module, "evaluate_reduced", recording)
+    multi_start_deflated(pure_power(2.5), 0.1, 2, opts, space)
+    return points
+
+
+def test_multi_inner_solves_no_sphere_point_cold_twice(space12, monkeypatch):
+    a = 0.1
+    points = _cold_points(monkeypatch, SolverOptions(max_outer=6), space12)
+    repeats = [
+        (i, j) for j in range(len(points)) for i in range(j)
+        if l2_norm(points[i] - points[j]) <= 1e-12 * a
+    ]
+    assert repeats == []
+
+
+def test_multi_verifies_a_converged_undeflated_search_without_a_cold_solve(
+    space12, monkeypatch
+):
+    # four starts; only the deflated searches need an undeflated polish
+    assert len(_cold_points(monkeypatch, SolverOptions(), space12)) <= 7
