@@ -20,7 +20,10 @@ the same float format, and field snapshots are raw little-endian complex
 pairs behind a fixed 64-byte ASCII header.
 
 Exit codes: 0 success, 1 check/solve/subspace-consistency failure, 2 configuration
-error.
+error.  A config file that cannot be read (missing, a directory, not UTF-8
+text) and an output directory that cannot be created are configuration
+errors too: ``main`` reports each as one ``config error:`` line naming the
+path, before any computation.
 
 Under glibc, ``main`` keeps the process's freed heap instead of giving it back
 to the kernel: every inner-ascent step allocates fresh 4n³ complex
@@ -88,8 +91,8 @@ class RunConfig:
     format_version: int = FORMAT_VERSION
 
     def __post_init__(self) -> None:
-        if not self.mass > 0:
-            raise FieldError("the operator requirement mass > 0", "mass")
+        if not 0 < self.mass < np.inf:
+            raise FieldError("the operator requirement 0 < mass < inf", "mass")
         # (f4) lives here rather than in NonlinearModel: the library keeps
         # accepting flat weights (decay 0), whose models are the closed-form
         # cases of the tests, while a run needs a vanishing weight.
@@ -98,6 +101,10 @@ class RunConfig:
                              "model.weight.decay_rate", "model.kind")
         if not self.solve_a > 0:
             raise FieldError("the mass constraint a > 0", "solve_a")
+        ladder = self.sweep_a_values
+        if not all(a > 0 for a in ladder) or any(b >= a for a, b in zip(ladder, ladder[1:])):
+            raise FieldError("the requirement of a strictly decreasing ladder of masses a > 0",
+                             "sweep_a_values")
         if self.multi_k < 1:
             raise FieldError("the requirement k >= 1", "multi_k")
         if min(self.subspace_k_list) < 1:
@@ -199,7 +206,7 @@ def parse_config(text: str) -> RunConfig:
 
 
 def load_config(path: str | Path) -> RunConfig:
-    return parse_config(Path(path).read_text())
+    return parse_config(Path(path).read_text(encoding="utf-8"))
 
 
 # --- deterministic serialization -------------------------------------------
@@ -322,19 +329,18 @@ def _say(quiet: bool, message: str) -> None:
         print(message)
 
 
-def cmd_check(cfg: RunConfig, out_dir: Path, quiet: bool) -> int:
+def cmd_check(cfg: RunConfig, space: DiracSpace, out_dir: Path, quiet: bool) -> int:
     """Run the invariant suites; exit 1 if any check fails."""
     # the concavity and drop bounds are those of the small-mass regime, so
     # the field suites run at no more than the reference mass 0.1
     a = min(cfg.solve_a, 0.1)
-    report = check_all(cfg.model, DiracSpace(cfg.grid, cfg.mass), a, cfg.solver.seed)
+    report = check_all(cfg.model, space, a, cfg.solver.seed)
     lines = [
         f"check: grid {cfg.grid.n_per_axis}^3 (box {cfg.grid.box_length:g}), "
         f"m={cfg.mass:g}, field suites at a={a:g}, seed {cfg.solver.seed}"
         + ("; no growth suite for the null model" if cfg.model.kind == "null" else "")
     ]
     lines += [c.line() for c in report.checks]
-    out_dir.mkdir(parents=True, exist_ok=True)
     text = "\n".join(lines) + "\n"
     (out_dir / "check_report.txt").write_text(text)
     _say(quiet, text.rstrip())
@@ -342,9 +348,7 @@ def cmd_check(cfg: RunConfig, out_dir: Path, quiet: bool) -> int:
     return 0 if report.all_passed else 1
 
 
-def cmd_solve(cfg: RunConfig, out_dir: Path, quiet: bool) -> int:
-    space = DiracSpace(cfg.grid, cfg.mass)
-    out_dir.mkdir(parents=True, exist_ok=True)
+def cmd_solve(cfg: RunConfig, space: DiracSpace, out_dir: Path, quiet: bool) -> int:
     try:
         rec = solve_normalized(cfg.model, cfg.solve_a, space, cfg.solver)
         snapshot = "solution.field"
@@ -375,10 +379,8 @@ SWEEP_COLUMNS = [
 ]
 
 
-def cmd_sweep(cfg: RunConfig, out_dir: Path, quiet: bool) -> int:
-    space = DiracSpace(cfg.grid, cfg.mass)
+def cmd_sweep(cfg: RunConfig, space: DiracSpace, out_dir: Path, quiet: bool) -> int:
     result = bifurcation_sweep(cfg.model, cfg.sweep_a_values, cfg.solver, space)
-    out_dir.mkdir(parents=True, exist_ok=True)
     _write_csv(out_dir / "sweep.csv", SWEEP_COLUMNS, (
         [r.a, r.omega, cfg.mass - r.omega, r.u_l2, r.u_hhalf, r.j_level, r.residual_l2,
          r.iterations, r.converged]
@@ -401,10 +403,8 @@ def cmd_sweep(cfg: RunConfig, out_dir: Path, quiet: bool) -> int:
     return 1 if n_fail == len(result.records) else 0
 
 
-def cmd_multi(cfg: RunConfig, out_dir: Path, quiet: bool) -> int:
-    space = DiracSpace(cfg.grid, cfg.mass)
+def cmd_multi(cfg: RunConfig, space: DiracSpace, out_dir: Path, quiet: bool) -> int:
     result = multi_start_deflated(cfg.model, cfg.solve_a, cfg.multi_k, cfg.solver, space)
-    out_dir.mkdir(parents=True, exist_ok=True)
     for i, rec in enumerate(result.records):
         snapshot = f"multi_{i:02d}.field"
         save_field_snapshot(out_dir / snapshot, rec.u, rec.a)
@@ -431,10 +431,9 @@ SUBSPACE_COLUMNS = [
 ]
 
 
-def cmd_subspace(cfg: RunConfig, out_dir: Path, quiet: bool) -> int:
+def cmd_subspace(cfg: RunConfig, space: DiracSpace, out_dir: Path, quiet: bool) -> int:
     """Write one row per (k, n), k-major; exit 1 if a direct sup exceeds its
     level bound by more than the sampling slack."""
-    space = DiracSpace(cfg.grid, cfg.mass)
     a = cfg.solve_a
     ks = cfg.subspace_k_list
     by_scale = [level_bounds(cfg.model, ks, n, a, space, density=cfg.subspace_density)
@@ -451,7 +450,6 @@ def cmd_subspace(cfg: RunConfig, out_dir: Path, quiet: bool) -> int:
         rows.append([bound.k, bound.n, report.sup_quad, report.inf_psi, report.ratio,
                      report.injective, bound.analytic_bound, bound.below_half_level,
                      ";".join(warnings)])
-    out_dir.mkdir(parents=True, exist_ok=True)
     _write_csv(out_dir / "subspace.csv", SUBSPACE_COLUMNS, rows)
     for line in inconsistent:
         print(f"subspace: row {line}", file=sys.stderr)
@@ -481,11 +479,18 @@ def _keep_freed_heap() -> None:
 
 def main(argv: list[str] | None = None) -> int:
     _keep_freed_heap()
+    commands = {
+        "check": cmd_check,
+        "solve": cmd_solve,
+        "sweep": cmd_sweep,
+        "multi": cmd_multi,
+        "subspace": cmd_subspace,
+    }
     parser = argparse.ArgumentParser(
         prog="diracnorm",
         description="Normalized solitary-wave solver for a nonlinear Dirac equation",
     )
-    parser.add_argument("command", choices=["check", "solve", "sweep", "multi", "subspace"])
+    parser.add_argument("command", choices=commands)
     parser.add_argument("--config", required=True, help="path to a key=value config file")
     parser.add_argument("--output", default=None, help="output directory override")
     parser.add_argument("--seed", type=int, default=None, help="seed override")
@@ -494,8 +499,9 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         cfg = load_config(args.config)
-    except FileNotFoundError:
-        print(f"config error: no such file {args.config}", file=sys.stderr)
+    except (OSError, UnicodeError) as exc:
+        print(f"config error: cannot read {args.config}: {getattr(exc, 'strerror', exc)}",
+              file=sys.stderr)
         return 2
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
@@ -506,18 +512,16 @@ def main(argv: list[str] | None = None) -> int:
         except FieldError as exc:
             print(f"config error: --seed {args.seed} violates {exc}", file=sys.stderr)
             return 2
-    out_dir = Path(args.output) if args.output else Path(cfg.output_dir)
-    commands = {
-        "check": cmd_check,
-        "solve": cmd_solve,
-        "sweep": cmd_sweep,
-        "multi": cmd_multi,
-        "subspace": cmd_subspace,
-    }
+    out_dir = Path(args.output or cfg.output_dir)
     try:
-        return commands[args.command](cfg, out_dir, args.quiet)
-    except Exception as exc:  # solver failures map to exit 1 with diagnostics
         out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        print(f"config error: cannot create the output directory {out_dir}: {exc.strerror}",
+              file=sys.stderr)
+        return 2
+    try:
+        return commands[args.command](cfg, DiracSpace(cfg.grid, cfg.mass), out_dir, args.quiet)
+    except Exception as exc:  # solver failures map to exit 1 with diagnostics
         (out_dir / "diagnostics.txt").write_text(f"{type(exc).__name__}: {exc}\n")
         print(f"error: {exc}", file=sys.stderr)
         return 1

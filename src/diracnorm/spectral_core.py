@@ -133,9 +133,9 @@ class Grid:
                 f"n_per_axis must be a positive even integer, got {self.n_per_axis}",
                 "n_per_axis",
             )
-        if not self.box_length > 0:
+        if not 0 < self.box_length < np.inf:
             raise FieldError(
-                f"box_length must be positive, got {self.box_length}", "box_length"
+                f"box_length must be positive and finite, got {self.box_length}", "box_length"
             )
 
     @property

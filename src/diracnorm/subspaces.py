@@ -395,17 +395,6 @@ class LevelBoundResult:
     report: SubspaceReport
 
 
-def _sphere_key(c: ArrayF) -> tuple[float, ...]:
-    """c without its trailing zeros and with its first nonzero entry positive.
-
-    J is even, and a coefficient vector padded with zeros gives a
-    bit-identical field, so sphere points with one key have one J value.
-    """
-    nonzero = np.flatnonzero(c)
-    c = c[: nonzero[-1] + 1]
-    return tuple(float(x) for x in (c if c[nonzero[0]] > 0 else -c))
-
-
 def _reduced_on_sphere(
     model: NonlinearModel, plus_fields: list[SpinorField], coeffs, a: float
 ) -> float:
@@ -438,25 +427,26 @@ def level_bounds(
     check is fully rigorous.
 
     All dimensions share one plus basis, and J is evaluated once per
-    distinct sphere point (see _sphere_key): the signed basis rows of every
-    k reduce to the unit vectors e_1 .. e_max(k).
+    distinct sphere point: J is even and zero-padded coefficients give the
+    same field, so the signed basis rows of every k reduce to the unit
+    vectors e_1 .. e_max(k), each evaluated once, and only the random rows
+    of sphere_samples are evaluated per k.
     """
     plus_fields, reports = _subspace_reports(model, k_list, n, base_space, density)
     m = base_space.mass
     q = model.q
     half = 0.5 * m * a * a
-    j_memo: dict[tuple[float, ...], float] = {}
+    # e_i as its first i + 1 entries: the same field without trailing zero terms
+    j_basis = [_reduced_on_sphere(model, plus_fields, np.eye(i + 1)[i], a)
+               for i in range(max(k_list))]
     results = []
     for k, report in zip(k_list, reports):
         analytic = 0.5 * a * a * (m + report.sup_quad) - 2.0 ** (
             1.0 - 2.0 * q
         ) * a**q * report.inf_psi
-        direct = -np.inf
-        for c in sphere_samples(k, max(j_density * k - 2 * k, 0)):
-            key = _sphere_key(c)
-            if key not in j_memo:
-                j_memo[key] = _reduced_on_sphere(model, plus_fields, key, a)
-            direct = max(direct, j_memo[key])
+        random_rows = sphere_samples(k, max(j_density * k - 2 * k, 0))[2 * k:]
+        direct = max(j_basis[:k] + [_reduced_on_sphere(model, plus_fields, c, a)
+                                    for c in random_rows])
         results.append(LevelBoundResult(
             k=k,
             n=float(n),

@@ -526,3 +526,65 @@ def test_parser_rejects_exactly_what_the_library_rejects(overrides, header):
         return
     assert built is not None and not f4, "accepted what the library rejects"
     assert (cfg.model, cfg.solver) == built
+
+
+# --- setup failures are config errors, caught before any computation ---------
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        "sweep.a_values=0.1,0.2",
+        "sweep.a_values=0.1,0.1",
+        "sweep.a_values=0.1,-0.05",
+        "sweep.a_values=0",
+        "grid.box_length=inf",
+        "physics.mass=inf",
+    ],
+)
+def test_rejects_inadmissible_ladders_and_infinite_sizes(tmp_path, capsys, line):
+    with pytest.raises(ConfigError) as info:
+        parse_config(f"# c\n{line}\n")
+    assert str(info.value).startswith(f"line 2: {line} violates")
+    assert main(["sweep", "--config", _write(tmp_path, f"# c\n{line}\n")]) == 2
+    assert f"config error: line 2: {line} violates" in capsys.readouterr().err
+
+
+def _config_error_lines(capsys):
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    return [line for line in err.splitlines() if line.startswith("config error:")]
+
+
+def test_a_config_path_naming_a_directory_is_a_config_error(tmp_path, capsys):
+    assert main(["check", "--config", str(tmp_path)]) == 2
+    (line,) = _config_error_lines(capsys)
+    assert str(tmp_path) in line
+
+
+def test_an_undecodable_config_file_is_a_config_error(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_bytes(b"\xff\xfe=1\n")
+    assert main(["check", "--config", str(cfg)]) == 2
+    (line,) = _config_error_lines(capsys)
+    assert str(cfg) in line
+
+
+def test_an_output_path_naming_a_file_is_a_config_error_before_any_work(
+    tmp_path, capsys, monkeypatch
+):
+    import diracnorm.cli as cli
+
+    cfg = _write(tmp_path, SMALL + "subspace.n_ladder=2\nsubspace.k_list=1\n")
+    taken = tmp_path / "taken"
+    taken.write_text("not a directory\n")
+    assert main(["subspace", "--config", cfg, "--output", str(taken), "--quiet"]) == 2
+    (line,) = _config_error_lines(capsys)
+    assert str(taken) in line
+    calls = []
+    monkeypatch.setattr(cli, "check_all", lambda *args: calls.append(args))
+    assert main(["check", "--config", cfg, "--output", str(taken), "--quiet"]) == 2
+    (line,) = _config_error_lines(capsys)
+    assert str(taken) in line
+    assert calls == []
+    assert taken.read_text() == "not a directory\n"
