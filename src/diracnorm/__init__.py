@@ -26,9 +26,6 @@ from .reduction import (
     inner_maximize,
     kappa,
     pde_residual,
-    reduce,
-    reduced_gradient,
-    reduced_value,
 )
 from .solver import (
     DescentStallError,

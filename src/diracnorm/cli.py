@@ -99,19 +99,19 @@ class RunConfig:
         if self.model.kind != "null" and not self.model.weight.decay_rate > 0:
             raise FieldError("(f4) requires a vanishing weight (decay > 0)",
                              "model.weight.decay_rate", "model.kind")
-        if not self.solve_a > 0:
-            raise FieldError("the mass constraint a > 0", "solve_a")
+        if not 0 < self.solve_a < np.inf:
+            raise FieldError("the mass constraint 0 < a < inf", "solve_a")
         ladder = self.sweep_a_values
-        if not all(a > 0 for a in ladder) or any(b >= a for a, b in zip(ladder, ladder[1:])):
-            raise FieldError("the requirement of a strictly decreasing ladder of masses a > 0",
-                             "sweep_a_values")
+        if not all(0 < b < a for a, b in zip([np.inf, *ladder], ladder)):
+            raise FieldError("the requirement of a strictly decreasing ladder of masses "
+                             "0 < a < inf", "sweep_a_values")
         if self.multi_k < 1:
             raise FieldError("the requirement k >= 1", "multi_k")
         if min(self.subspace_k_list) < 1:
             raise FieldError("the requirement k >= 1 for every subspace dimension",
                              "subspace_k_list")
-        if not all(n > 0 for n in self.subspace_n_ladder):
-            raise FieldError("the requirement n > 0 for every envelope scale",
+        if not all(0 < n < np.inf for n in self.subspace_n_ladder):
+            raise FieldError("the requirement n > 0 and finite for every envelope scale",
                              "subspace_n_ladder")
         if self.subspace_density < 0:
             raise FieldError("the requirement density >= 0", "subspace_density")
@@ -272,19 +272,24 @@ def load_field_snapshot(path: str | Path) -> tuple[SpinorField, float]:
     header = blob[:64].decode("ascii", errors="replace").strip()
     if not header.startswith(SNAPSHOT_MAGIC):
         raise ValueError(f"{path}: not a field snapshot: header {header!r}")
+    malformed = f"{path}: snapshot header {header!r} is not '{SNAPSHOT_MAGIC} n box mass a'"
     try:
         n_text, box_text, mass_text, a_text = header[len(SNAPSHOT_MAGIC):].split()
-        n, a = int(n_text), float(a_text)
-        space = DiracSpace(Grid(n, float(box_text)), float(mass_text))
+        n, mass, a = int(n_text), float(mass_text), float(a_text)
+        grid = Grid(n, float(box_text))
     except ValueError as exc:
-        raise ValueError(f"{path}: snapshot header {header!r} is not "
-                         f"'{SNAPSHOT_MAGIC} n box mass a': {exc}") from exc
+        raise ValueError(f"{malformed}: {exc}") from exc
+    # the size is checked before DiracSpace allocates its n³ multiplier arrays
     data = blob[64:]
     count = 4 * n**3
     if len(data) != 16 * count:
         stray = f" and {len(data) % 16} stray bytes" if len(data) % 16 else ""
         raise ValueError(f"{path}: expected {count} complex values (4·{n}³) after the "
                          f"header, found {len(data) // 16}{stray}")
+    try:
+        space = DiracSpace(grid, mass)
+    except ValueError as exc:
+        raise ValueError(f"{malformed}: {exc}") from exc
     flat = np.frombuffer(data, dtype="<c16")
     values = np.transpose(flat.reshape(n, n, n, 4), (3, 2, 1, 0)).copy()
     return SpinorField(space, values), a

@@ -50,8 +50,8 @@ class WeightSpec:
     form: str = "inverse_poly"
 
     def __post_init__(self) -> None:
-        if not self.amplitude > 0:
-            raise FieldError(f"weight amplitude must be positive, got {self.amplitude}",
+        if not 0 < self.amplitude < np.inf:
+            raise FieldError(f"weight amplitude must be positive and finite, got {self.amplitude}",
                              "amplitude")
         if self.decay_rate < 0:
             raise FieldError(f"weight decay_rate must be nonnegative, got {self.decay_rate}",

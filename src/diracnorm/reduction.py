@@ -4,19 +4,19 @@ The energy I(u) = e_norm(u_plus)^2/2 - e_norm(u_minus)^2/2 - psi(u) is
 unbounded in both spectral directions.  On the fiber of fields with a
 prescribed L2 mass whose plus part is parallel to a given plus field v, the
 energy is strictly concave in the minus part once the mass is small, so the
-minus part can be maximized out.  The maximizer w(v) defines
-
-    reduce(v)        = h_map(v, w(v))            (the fiber maximizer field)
-    reduced_value(v) = energy(reduce(v))         (the functional descended on)
-
-and a multiplier quotient kappa such that the residual operator
+minus part can be maximized out.  inner_maximize returns, per sphere point v,
+a ReducedState holding the maximizer w(v), the field g = h_map(v, w(v)), the
+reduced value J(v) = energy(g) (the functional descended on) and the
+multiplier quotient kappa, for which the residual operator
 
     residual(u) = H0 u - f(x,|u|) u - kappa(u) u
 
 annihilates every minus test direction at w(v) and the v direction itself.
-The sphere-tangent representative of the derivative of the reduced value is
-assembled from that residual; driving it to zero yields a normalized solution
-pair (omega, u) with omega = kappa(u).
+attach_gradient adds the sphere-tangent representative of the derivative of
+J, assembled from that residual (evaluate_reduced does both); driving it to
+zero yields a normalized solution pair (omega, u) with omega = kappa(u).
+A solve does not check inner concavity: sample_concavity samples it, in the
+inner-concavity suite of `diracnorm check`.
 
 The fiber map is h_map(v, w) = sqrt(a^2 - |w|_L2^2) v / a + w with
 a = l2_norm(v); its domain requires e_norm(w) <= sqrt(m) a / 2, which by the
@@ -38,7 +38,6 @@ from .spectral_core import (
     e_norm,
     l2_inner,
     l2_norm,
-    random_field,
     riesz_minus,
     riesz_plus,
     split,
@@ -147,26 +146,22 @@ class _Fiber:
 
 
 @dataclass
-class InnerCertificate:
-    """Convergence evidence for one inner maximization."""
+class ReducedState:
+    """The reduced functional at one sphere point v; attach_gradient sets the last three fields."""
 
-    grad_norm: float
-    iterations: int
-    boundary_fraction: float
-    concavity_margin: float | None = None
-
-
-@dataclass
-class InnerResult:
-    w_star: SpinorField
-    iterations: int
-    certificate: InnerCertificate
-    # cached maximizer data: (coeff, field, nonlinear gradient, multiplier, level)
-    coeff: float = 0.0
-    maximizer: SpinorField | None = None
-    fu: SpinorField | None = None
-    kappa_val: float = 0.0
-    j_val: float = 0.0
+    v: SpinorField
+    a: float  # l2_norm(v)
+    w: SpinorField  # inner maximizer w(v)
+    g: SpinorField  # fiber maximizer h_map(v, w)
+    fu: SpinorField  # f(|g|) g, as the inner solve left it
+    fiber_coeff: float  # sqrt(a^2 - |w|_2^2) / a, the coefficient of v in g
+    kappa_val: float
+    j_val: float  # J(v) = energy(g)
+    inner_residual: float  # e_norm of the inner ascent direction at w
+    inner_iterations: int
+    grad_tangent: SpinorField | None = None
+    riesz_v: SpinorField | None = None  # riesz_plus(v)
+    residual: SpinorField | None = None  # H0 g - f(|g|) g - kappa g
 
 
 def inner_gradient(model: NonlinearModel, v: SpinorField, w: SpinorField) -> SpinorField:
@@ -209,8 +204,7 @@ def inner_maximize(
     tol: float | None = None,
     w0: SpinorField | None = None,
     max_iter: int = 500,
-    certify: bool = True,
-) -> InnerResult:
+) -> ReducedState:
     """Maximize the fiber energy over the admissible minus ball.
 
     Damped ascent in the e-metric with the exact per-mode curvature of the
@@ -265,21 +259,10 @@ def inner_maximize(
             "inner maximizer reached the minus-ball boundary "
             f"(fraction {boundary_fraction:.4f}); mass a={fiber.a:.3e} is too large"
         )
-    margin = None
-    if certify:
-        rng = np.random.default_rng(7)
-        z = random_field(fiber.space, rng, bandwidth=2.0, part="minus")
-        margin = sample_concavity(model, v, w, z)
-    cert = InnerCertificate(gnorm, iterations, boundary_fraction, margin)
     c, u, fu, kap = aux
-    return InnerResult(w, iterations, cert, coeff=c, maximizer=u, fu=fu, kappa_val=kap,
-                       j_val=fiber.level(c, wn, u))
-
-
-def reduce(model: NonlinearModel, v: SpinorField, tol: float | None = None) -> SpinorField:
-    """Fiber maximizer field h_map(v, w(v)); same L2 mass as v."""
-    res = inner_maximize(model, v, tol=tol, certify=False)
-    return res.maximizer
+    return ReducedState(v=v, a=fiber.a, w=w, g=u, fu=fu, fiber_coeff=c, kappa_val=kap,
+                        j_val=fiber.level(c, wn, u), inner_residual=gnorm,
+                        inner_iterations=iterations)
 
 
 def kappa(model: NonlinearModel, u: SpinorField) -> float:
@@ -300,25 +283,6 @@ def pde_residual(model: NonlinearModel, u: SpinorField) -> SpinorField:
     """Residual field H0 u - f(x,|u|) u - kappa(u) u of the stationary equation."""
     kap = kappa(model, u)
     return apply_h0(u) - psi_gradient(model, u) - kap * u
-
-
-@dataclass
-class ReducedState:
-    """Full evaluation of the reduced functional at one sphere point."""
-
-    v: SpinorField
-    a: float
-    w: SpinorField
-    g: SpinorField  # fiber maximizer h_map(v, w)
-    fu: SpinorField  # f(|g|) g, as the inner solve left it
-    kappa_val: float
-    j_val: float
-    inner_residual: float
-    inner_iterations: int
-    grad_tangent: SpinorField | None = None
-    fiber_coeff: float = 1.0
-    riesz_v: SpinorField | None = None  # riesz_plus(v), set with the gradient
-    residual: SpinorField | None = None  # H0 g - f(|g|) g - kappa g, set with the gradient
 
 
 def tangent_project(
@@ -359,32 +323,6 @@ def evaluate_reduced(
     max_iter: int = 500,
     need_gradient: bool = True,
 ) -> ReducedState:
-    """Inner-maximize at v and package value, multiplier and (optionally) gradient."""
-    res = inner_maximize(model, v, tol=tol, w0=w0, max_iter=max_iter, certify=False)
-    state = ReducedState(
-        v=v,
-        a=l2_norm(v),
-        w=res.w_star,
-        g=res.maximizer,
-        fu=res.fu,
-        kappa_val=res.kappa_val,
-        j_val=res.j_val,
-        inner_residual=res.certificate.grad_norm,
-        inner_iterations=res.iterations,
-        fiber_coeff=res.coeff,
-    )
-    if need_gradient:
-        attach_gradient(state)
-    return state
-
-
-def reduced_value(model: NonlinearModel, v: SpinorField, tol: float | None = None) -> float:
-    """Value of the reduced functional at v."""
-    return evaluate_reduced(model, v, tol=tol, need_gradient=False).j_val
-
-
-def reduced_gradient(
-    model: NonlinearModel, v: SpinorField, tol: float | None = None
-) -> SpinorField:
-    """Sphere-tangent e-metric gradient of the reduced functional at v."""
-    return evaluate_reduced(model, v, tol=tol, need_gradient=True).grad_tangent
+    """inner_maximize at v, with the sphere-tangent gradient attached when asked."""
+    state = inner_maximize(model, v, tol=tol, w0=w0, max_iter=max_iter)
+    return attach_gradient(state) if need_gradient else state

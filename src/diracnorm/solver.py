@@ -81,8 +81,8 @@ class SolverOptions:
 
     def __post_init__(self) -> None:
         for name in ("tol_grad", "tol_inner", "step_init", "max_outer", "max_inner"):
-            if not getattr(self, name) > 0:
-                raise FieldError(f"{name} must be positive", name)
+            if not 0 < getattr(self, name) < np.inf:
+                raise FieldError(f"{name} must be positive and finite", name)
         if self.seed < 0:
             raise FieldError("seed must be nonnegative", "seed")
         if not (0.0 < self.armijo_c < 1.0):

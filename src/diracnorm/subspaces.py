@@ -428,7 +428,7 @@ def level_bounds(
 
     All dimensions share one plus basis, and J is evaluated once per
     distinct sphere point: J is even and zero-padded coefficients give the
-    same field, so the signed basis rows of every k reduce to the unit
+    same field, so the signed basis rows of every k come down to the unit
     vectors e_1 .. e_max(k), each evaluated once, and only the random rows
     of sphere_samples are evaluated per k.
     """

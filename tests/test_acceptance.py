@@ -137,8 +137,8 @@ def test_c05_inner_uniqueness(space, model):
         for _ in range(5):
             w0 = random_field(space, rng, bandwidth=1.0, part="minus")
             w0 = w0 * (rng.uniform(0.05, 0.8) * minus_ball_radius(space, a) / e_norm(w0))
-            res = inner_maximize(model, v, tol=tol, w0=w0, certify=False)
-            sols.append(res.w_star)
+            res = inner_maximize(model, v, tol=tol, w0=w0)
+            sols.append(res.w)
         for i in range(len(sols)):
             for j in range(i + 1, len(sols)):
                 assert e_norm(sols[i] - sols[j]) <= 10 * tol

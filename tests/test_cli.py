@@ -125,6 +125,21 @@ def test_snapshot_rejects_a_short_header_naming_it(tmp_path, rng):
         load_field_snapshot(path)
 
 
+def test_snapshot_size_is_checked_before_the_space_is_built(tmp_path, monkeypatch):
+    # a header claiming a huge grid must not allocate its n³ arrays
+    import diracnorm.cli as cli
+
+    def no_space(*args):
+        raise AssertionError("DiracSpace built before the size check")
+
+    monkeypatch.setattr(cli, "DiracSpace", no_space)
+    path = tmp_path / "field.bin"
+    path.write_bytes(b"DIRACNORM v1 2048 16 1 0.1".ljust(63) + b"\n" + bytes(32))
+    with pytest.raises(ValueError, match=rf"{re.escape(str(path))}: expected "
+                                         r"34359738368 complex values .* found 2$"):
+        load_field_snapshot(path)
+
+
 def _write(tmp_path, text):
     p = tmp_path / "run.cfg"
     p.write_text(text)
@@ -548,6 +563,25 @@ def test_rejects_inadmissible_ladders_and_infinite_sizes(tmp_path, capsys, line)
     assert str(info.value).startswith(f"line 2: {line} violates")
     assert main(["sweep", "--config", _write(tmp_path, f"# c\n{line}\n")]) == 2
     assert f"config error: line 2: {line} violates" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command,line", [
+    ("solve", "solve.a=inf"),
+    ("sweep", "sweep.a_values=inf,0.1"),
+    ("subspace", "subspace.n_ladder=inf"),
+    ("solve", "solver.step_init=inf"),
+    ("solve", "solver.tol_grad=inf"),
+    ("solve", "model.weight_amplitude=inf"),
+])
+def test_rejects_infinite_values_naming_the_key(tmp_path, capsys, command, line):
+    # unchecked, each would fail mid-run with exit 1 and a message naming no key
+    with pytest.raises(ConfigError) as info:
+        parse_config(f"# c\n{line}\n")
+    assert str(info.value).startswith(f"line 2: {line} violates")
+    assert main([command, "--config", _write(tmp_path, f"# c\n{line}\n"), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert f"config error: line 2: {line} violates" in err
+    assert "Traceback" not in err
 
 
 def _config_error_lines(capsys):

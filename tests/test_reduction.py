@@ -18,9 +18,6 @@ from diracnorm import (
     pde_residual,
     psi,
     pure_power,
-    reduce,
-    reduced_gradient,
-    reduced_value,
     two_power,
 )
 from diracnorm.reduction import _Fiber, minus_ball_radius, sample_concavity, tangent_project
@@ -147,9 +144,9 @@ def test_inner_gradient_is_riesz_lift_of_residual(space12, rng):
 def test_inner_maximize_null_is_origin(space12, rng):
     v = _plus(space12, rng, 0.1)
     res = inner_maximize(null_model(), v)
-    assert res.iterations == 0
-    assert e_norm(res.w_star) == 0.0
-    assert res.certificate.grad_norm < 1e-14
+    assert res.inner_iterations == 0
+    assert e_norm(res.w) == 0.0
+    assert res.inner_residual < 1e-14
 
 
 def test_inner_maximize_multistart_uniqueness(space12, rng):
@@ -160,8 +157,8 @@ def test_inner_maximize_multistart_uniqueness(space12, rng):
     sols = []
     for _ in range(5):
         w0 = _minus_in_ball(space12, rng, a, fraction=rng.uniform(0.05, 0.8))
-        res = inner_maximize(model, v, tol=tol, w0=w0, certify=False)
-        sols.append(res.w_star)
+        res = inner_maximize(model, v, tol=tol, w0=w0)
+        sols.append(res.w)
     for i in range(len(sols)):
         for j in range(i + 1, len(sols)):
             assert e_norm(sols[i] - sols[j]) <= 10 * tol
@@ -195,7 +192,7 @@ def test_boundary_energy_drop(space12, rng):
 
 def test_reduce_null_identity(space12, rng):
     v = _plus(space12, rng, 0.1)
-    g = reduce(null_model(), v)
+    g = inner_maximize(null_model(), v).g
     assert l2_norm(g - v) < 1e-12 * l2_norm(v)
 
 
@@ -203,7 +200,7 @@ def test_reduce_preserves_mass(space12, rng):
     model = pure_power(2.5)
     a = 0.1
     v = _plus(space12, rng, a)
-    g = reduce(model, v, tol=1e-10 * a)
+    g = inner_maximize(model, v, tol=1e-10 * a).g
     assert abs(l2_norm(g) - a) <= 1e-10 * a
 
 
@@ -212,7 +209,7 @@ def test_reduce_minus_stationarity_battery(space12, rng):
     a = 0.1
     tol = 1e-9 * a
     v = _plus(space12, rng, a)
-    g = reduce(model, v, tol=tol)
+    g = inner_maximize(model, v, tol=tol).g
     res = pde_residual(model, g)
     tests = [random_field(space12, rng, bandwidth=2.0, part="minus") for _ in range(32)]
     for mode in [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1),
@@ -226,7 +223,7 @@ def test_residual_orthogonal_to_base_direction(space12, rng):
     model = pure_power(2.5)
     a = 0.1
     v = _plus(space12, rng, a)
-    g = reduce(model, v, tol=1e-10 * a)
+    g = inner_maximize(model, v, tol=1e-10 * a).g
     res = pde_residual(model, g)
     assert abs(l2_inner(res, v)) < 1e-12
 
@@ -297,13 +294,13 @@ def test_pde_residual_two_mode_closed_form(space12):
 
 def test_reduced_value_null_closed_form(space12, rng):
     v = _plus(space12, rng, 0.1)
-    assert np.isclose(reduced_value(null_model(), v), 0.5 * e_norm(v) ** 2, rtol=1e-12)
+    assert np.isclose(inner_maximize(null_model(), v).j_val, 0.5 * e_norm(v) ** 2, rtol=1e-12)
 
 
 def test_reduced_gradient_null_closed_form(space12, rng):
     a = 0.1
     v = _plus(space12, rng, a)
-    grad = reduced_gradient(null_model(), v)
+    grad = evaluate_reduced(null_model(), v).grad_tangent
     # representative of z -> e_inner(v, z) - (e_norm(v)^2/a^2) l2_inner(v, z)
     from diracnorm.spectral_core import riesz_plus
 
@@ -316,7 +313,7 @@ def test_reduced_value_never_exceeds_quadratic_half(space12, rng):
     model = pure_power(2.5)
     for _ in range(5):
         v = _plus(space12, rng, 0.1)
-        assert reduced_value(model, v) <= 0.5 * e_norm(v) ** 2 + 1e-12
+        assert inner_maximize(model, v).j_val <= 0.5 * e_norm(v) ** 2 + 1e-12
 
 
 def test_reduced_gradient_matches_sphere_path_derivative(space12, rng):
@@ -342,7 +339,7 @@ def test_reduced_gradient_matches_sphere_path_derivative(space12, rng):
 def test_reduced_gradient_is_tangent(space12, rng):
     model = pure_power(2.5)
     v = _plus(space12, rng, 0.1)
-    grad = reduced_gradient(model, v)
+    grad = evaluate_reduced(model, v).grad_tangent
     assert abs(l2_inner(v, grad)) < 1e-12
 
 
@@ -352,14 +349,14 @@ def test_inner_solution_is_local_maximum_directly(space12, rng):
     model = pure_power(2.5)
     a = 0.1
     v = _plus(space12, rng, a)
-    res = inner_maximize(model, v, tol=1e-11 * a, certify=False)
-    base = energy(model, h_map(v, res.w_star))
+    res = inner_maximize(model, v, tol=1e-11 * a)
+    base = energy(model, h_map(v, res.w))
     radius = minus_ball_radius(space12, a)
     for _ in range(20):
         z = random_field(space12, rng, bandwidth=2.0, part="minus")
         z = z * (1.0 / e_norm(z))
         for t in (1e-3 * radius, 1e-2 * radius, 0.1 * radius):
-            w_try = res.w_star + t * z
+            w_try = res.w + t * z
             if e_norm(w_try) >= radius:
                 continue
             assert energy(model, h_map(v, w_try)) <= base + 1e-14
@@ -424,7 +421,7 @@ def test_scaled_subspace_candidate_dips_below_half_level(desk_space):
         space_n = subspace_space(desk_space, scale)
         u = scaled_envelope_field(space_n, scale, basis, [1.0])
         v = normalized(split(u).plus, a)
-        best = min(best, reduced_value(model, v, tol=1e-10 * a))
+        best = min(best, inner_maximize(model, v, tol=1e-10 * a).j_val)
     assert best < 0.5 * m * a * a
 
 
@@ -447,3 +444,27 @@ def test_reduced_level_is_the_fiber_value_at_the_maximizer(space12, rng, model):
     state = evaluate_reduced(model, v, need_gradient=False)
     assert float.hex(state.j_val) == float.hex(_Fiber(model, v).value(state.w))
     assert abs(state.j_val - energy(model, state.g)) <= 1e-12 * a * a
+
+
+@pytest.mark.parametrize("model", [pure_power(2.5), null_model()], ids=lambda m: m.kind)
+def test_inner_maximize_returns_the_reduced_state(space12, rng, model):
+    """inner_maximize builds the state evaluate_reduced returns; the gradient
+    is the only thing evaluate_reduced adds."""
+    from diracnorm.reduction import attach_gradient
+
+    a = 0.1
+    v = _plus(space12, rng, a)
+    w0 = _minus_in_ball(space12, rng, a, fraction=0.2)
+    tol = 1e-10 * a
+    inner = inner_maximize(model, v, tol, w0)
+    state = evaluate_reduced(model, v, tol, w0, need_gradient=False)
+    for name in ("w", "g", "fu"):
+        assert np.array_equal(getattr(inner, name).hat, getattr(state, name).hat)
+    for name in ("j_val", "kappa_val", "inner_residual", "fiber_coeff"):
+        assert float.hex(getattr(inner, name)) == float.hex(getattr(state, name))
+    assert inner.inner_iterations == state.inner_iterations
+    assert inner.a == l2_norm(v) and state.a == l2_norm(v)
+    assert inner.grad_tangent is None and state.grad_tangent is None
+    full = evaluate_reduced(model, v, tol, w0, need_gradient=True)
+    attached = attach_gradient(inner_maximize(model, v, tol, w0))
+    assert np.array_equal(full.grad_tangent.hat, attached.grad_tangent.hat)
