@@ -398,6 +398,9 @@ def cmd_sweep(cfg: RunConfig, space: DiracSpace, out_dir: Path, quiet: bool) -> 
         "hhalf_decreasing": result.hhalf_decreasing,
         "omega_nonincreasing_in_a": result.omega_nonincreasing_in_a,
         "p_minus_2": cfg.model.p - 2.0 if cfg.model.kind != "null" else None,
+        # why a row did not converge; sweep.csv keeps its nine columns
+        "rows": [{"a": r.a, "stall_reason": r.stall_reason, "failed_criteria": r.failed_criteria}
+                 for r in result.records],
     }
     (out_dir / "sweep_fit.json").write_text(dump_json(fit))
     n_fail = sum(0 if r.converged else 1 for r in result.records)

@@ -47,6 +47,12 @@ from .spectral_core import (
 #: projecting an overshooting iterate back inside.
 _BALL_GUARD = 1e-8
 
+#: Strong-concavity margin mu of the fiber energy in the e-metric: a validated
+#: mass keeps sampled second differences below -mu (calibrate_a_max).  At an
+#: inner iterate w_k with ascent direction g it gives
+#: J(w_k) <= J <= J(w_k) + e_norm(g)^2 / (2 mu) and e_norm(w* - w_k) <= e_norm(g) / mu.
+CONCAVITY_MARGIN = 0.125
+
 
 class DomainError(ValueError):
     """A (v, w) pair left the admissible fiber domain."""
@@ -211,8 +217,10 @@ def inner_maximize(
     quadratic part as preconditioner; the nonlinear terms are small
     perturbations for small mass, so convergence is linear with a rate far
     from 1.  Iterates overshooting the ball are projected back just inside;
-    a maximizer that actually sits on the boundary signals a mass outside the
-    validated smallness regime and raises.
+    a maximizer that may sit on the boundary signals a mass outside the
+    validated smallness regime and raises.  The maximizer lies within
+    inner_residual / CONCAVITY_MARGIN of the returned w, so that distance
+    counts towards the boundary test.
     """
     fiber = _Fiber(model, v)
     if tol is None:
@@ -253,7 +261,7 @@ def inner_maximize(
             f"(gradient norm {gnorm:.3e}, tol {tol:.3e})"
         )
     wn = e_norm(w)
-    boundary_fraction = wn / fiber.radius
+    boundary_fraction = (wn + gnorm / CONCAVITY_MARGIN) / fiber.radius
     if boundary_fraction >= 0.999:
         raise SmallnessError(
             "inner maximizer reached the minus-ball boundary "

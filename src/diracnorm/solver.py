@@ -21,6 +21,7 @@ import numpy as np
 
 from .nonlinearity import NonlinearModel
 from .reduction import (
+    CONCAVITY_MARGIN,
     ReducedState,
     SmallnessError,
     attach_gradient,
@@ -89,8 +90,9 @@ class SolverOptions:
             raise FieldError("armijo_c must lie in (0, 1)", "armijo_c")
         if self.a_max is not None and not self.a_max > 0:
             raise FieldError("a_max must be positive when given", "a_max")
-        if self.deflation_strength < 0:
-            raise FieldError("deflation_strength must be nonnegative", "deflation_strength")
+        if not 0 <= self.deflation_strength < np.inf:
+            raise FieldError("deflation_strength must be nonnegative and finite",
+                             "deflation_strength")
 
 
 @dataclass
@@ -138,8 +140,8 @@ def calibrate_a_max(model: NonlinearModel, space: DiracSpace, seed: int = 20240)
     inner concavity margin.
 
     A mass passes when second differences of the fiber energy along random
-    minus directions stay below -0.125 (in units of e_norm^2) at 4 random
-    interior points.  Deterministic for a fixed seed.
+    minus directions stay below -CONCAVITY_MARGIN = -1/8 (in units of
+    e_norm^2) at 4 random interior points.  Deterministic for a fixed seed.
     """
 
     def _ok(a: float) -> bool:
@@ -152,7 +154,7 @@ def calibrate_a_max(model: NonlinearModel, space: DiracSpace, seed: int = 20240)
             w = random_field(space, rng, bandwidth=1.0, part="minus")
             w = w * (0.5 * radius / e_norm(w))
             z = random_field(space, rng, bandwidth=1.0, part="minus")
-            if sample_concavity(model, v, w, z) > -0.125:
+            if sample_concavity(model, v, w, z) > -CONCAVITY_MARGIN:
                 return False
         return True
 

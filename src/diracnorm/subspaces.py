@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .nonlinearity import NonlinearModel, psi_quadrature
-from .reduction import evaluate_reduced
+from .reduction import CONCAVITY_MARGIN, evaluate_reduced
 from .spectral_core import (
     ArrayF,
     DiracSpace,
@@ -395,15 +395,30 @@ class LevelBoundResult:
     report: SubspaceReport
 
 
+#: Sampling slack of the consistency test: a direct sup may exceed its level
+#: bound by this much (plus rounding) and still count as consistent.
+_CONSISTENCY_SLACK = 1e-6
+
+#: Inner tolerance of the direct sup: an inner residual below it keeps the
+#: width e_norm(g)^2 / (2 mu) of each J interval under a tenth of the slack.
+_J_INNER_TOL = float(np.sqrt(2.0 * CONCAVITY_MARGIN * _CONSISTENCY_SLACK / 10.0))
+
+
 def _reduced_on_sphere(
     model: NonlinearModel, plus_fields: list[SpinorField], coeffs, a: float
 ) -> float:
-    """J of sum_i coeffs_i p_i scaled to L2 norm a."""
+    """Certified upper end of J at sum_i coeffs_i p_i scaled to L2 norm a.
+
+    The inner solve stops at residual _J_INNER_TOL; with the sampled
+    concavity margin mu = CONCAVITY_MARGIN of the fiber energy, the iterate's
+    value J(w_k) and inner residual g bound J(v) <= J(w_k) + e_norm(g)^2 / (2 mu).
+    """
     combo = coeffs[0] * plus_fields[0]
     for ci, p in zip(coeffs[1:], plus_fields[1:]):
         combo = combo + ci * p
     v = combo * (a / l2_norm(combo))
-    return evaluate_reduced(model, v, tol=1e-9 * a, need_gradient=False).j_val
+    state = evaluate_reduced(model, v, tol=_J_INNER_TOL, need_gradient=False)
+    return state.j_val + state.inner_residual**2 / (2 * CONCAVITY_MARGIN)
 
 
 def level_bounds(
@@ -420,11 +435,15 @@ def level_bounds(
 
     The analytic-style bound is (a^2/2) sup e_norm^2 - 2^(1-2q) a^q inf psi
     over the unit sphere of the subspace; the direct value is a sampled sup
-    of the reduced functional over the same sphere scaled to mass a.  The
-    direct sup must not exceed the analytic bound by more than the sampling
-    slack 1e-6 once the mass is small.  The quadratic sup is exact, but inf psi
-    and the direct sup are sampled, so neither the bound nor its consistency
-    check is fully rigorous.
+    of the reduced functional over the same sphere scaled to mass a, taken
+    over certified upper ends of J (see _reduced_on_sphere): a loosely
+    solved inner problem can only raise it, never pass the check by accident.
+    The direct sup must not exceed the analytic bound by more than the
+    sampling slack 1e-6 once the mass is small; each upper end lies within a
+    tenth of that slack above J.  The quadratic sup is exact, but inf psi,
+    the direct sup and the concavity margin mu = 1/8 behind the upper ends
+    (the one calibrate_a_max samples) are sampled, so neither the bound nor
+    its consistency check is fully rigorous.
 
     All dimensions share one plus basis, and J is evaluated once per
     distinct sphere point: J is even and zero-padded coefficients give the
@@ -456,7 +475,7 @@ def level_bounds(
             sup_quad=report.sup_quad,
             inf_psi=report.inf_psi,
             below_half_level=analytic < half,
-            consistent=direct <= analytic + 1e-6 + 1e-12 * abs(analytic),
+            consistent=direct <= analytic + _CONSISTENCY_SLACK + 1e-12 * abs(analytic),
             report=report,
         ))
     return results

@@ -272,7 +272,7 @@ def test_cmd_subspace_flags_a_direct_sup_above_its_level_bound(tmp_path, monkeyp
     import diracnorm.subspaces as subspaces
 
     monkeypatch.setattr(subspaces, "evaluate_reduced",
-                        lambda *args, **kwargs: SimpleNamespace(j_val=1.0))
+                        lambda *args, **kwargs: SimpleNamespace(j_val=1.0, inner_residual=0.0))
     out = tmp_path / "out"
     cfg = _write(tmp_path, SUBSPACE_SMALL + f"subspace.n_ladder=2,4\nsubspace.sample_density=2\n"
                            f"output.dir={out}\n")
@@ -579,6 +579,19 @@ def test_rejects_infinite_values_naming_the_key(tmp_path, capsys, command, line)
         parse_config(f"# c\n{line}\n")
     assert str(info.value).startswith(f"line 2: {line} violates")
     assert main([command, "--config", _write(tmp_path, f"# c\n{line}\n"), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert f"config error: line 2: {line} violates" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("value", ["inf", "nan"])
+def test_rejects_a_deflation_strength_that_is_not_finite(tmp_path, capsys, value):
+    # unchecked, multi ran its deflated searches on NaN arithmetic and exited 0
+    line = f"solver.deflation_strength={value}"
+    with pytest.raises(ConfigError) as info:
+        parse_config(f"# c\n{line}\n")
+    assert str(info.value).startswith(f"line 2: {line} violates deflation_strength")
+    assert main(["multi", "--config", _write(tmp_path, f"# c\n{line}\n"), "--quiet"]) == 2
     err = capsys.readouterr().err
     assert f"config error: line 2: {line} violates" in err
     assert "Traceback" not in err

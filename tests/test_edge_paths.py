@@ -1,5 +1,7 @@
 """Failure paths and secondary contracts: stalls, exhaustion, certificates."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -116,6 +118,25 @@ def test_sweep_row_failure_marked_not_fatal(tmp_path):
     flags = [line.rsplit(",", 1)[1] for line in lines[1:]]
     assert "false" in flags
     assert rc in (0, 1)
+
+
+def test_sweep_fit_names_why_each_row_failed(tmp_path):
+    cfg_path = tmp_path / "sweep.cfg"
+    cfg_path.write_text(
+        "grid.n_per_axis=12\ngrid.box_length=12.0\n"
+        "sweep.a_values=0.1,0.08\nsolver.max_outer=2\n"
+        f"output.dir={tmp_path}/out\n"
+    )
+    main(["sweep", "--config", str(cfg_path), "--quiet"])
+    lines = (tmp_path / "out" / "sweep.csv").read_text().strip().splitlines()[1:]
+    rows = json.loads((tmp_path / "out" / "sweep_fit.json").read_text())["rows"]
+    assert len(rows) == len(lines) == 2
+    for line, row in zip(lines, rows):
+        assert float(line.split(",")[0]) == row["a"]
+        converged = line.rsplit(",", 1)[1] == "true"
+        assert (row["failed_criteria"] == []) == converged
+        assert converged or "max_outer=2 exhausted" in row["stall_reason"]
+    assert any(row["failed_criteria"] for row in rows)
 
 
 def test_record_mass_split_between_parts(space12):

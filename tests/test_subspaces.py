@@ -15,6 +15,7 @@ from diracnorm import (
     apply_h0,
     e_inner,
     e_norm,
+    evaluate_reduced,
     hermite_function,
     l2_inner,
     l2_norm,
@@ -359,3 +360,55 @@ def test_gram_form_psi_matches_psi_of_the_normalized_field(coeffs, kind):
         combo = combo + p * c
     want = psi(_MODELS[kind], normalized(combo))
     assert abs(got[0] - want) <= 1e-12 * abs(want)
+
+
+def _spy_on_evaluate(monkeypatch):
+    """Record the state of every evaluate_reduced call made by subspaces."""
+    import diracnorm.subspaces as subspaces
+
+    states = []
+    evaluate = subspaces.evaluate_reduced
+
+    def spy(*args, **kwargs):
+        states.append(evaluate(*args, **kwargs))
+        return states[-1]
+
+    monkeypatch.setattr(subspaces, "evaluate_reduced", spy)
+    return states
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    coeffs=st.lists(st.floats(-1.0, 1.0, allow_nan=False), min_size=3, max_size=3).filter(
+        lambda c: np.linalg.norm(c) > 1e-3
+    ),
+    kind=st.sampled_from(sorted(_MODELS)),
+)
+def test_sphere_value_is_a_certified_upper_end_of_j(coeffs, kind):
+    import diracnorm.subspaces as subspaces
+
+    fields, _ = _plus_span(3, 4.0)
+    model, a = _MODELS[kind], 0.1
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        states = _spy_on_evaluate(monkeypatch)
+        upper = subspaces._reduced_on_sphere(model, fields, np.array(coeffs), a)
+    (loose,) = states
+    tight = evaluate_reduced(model, loose.v, tol=1e-12 * a, need_gradient=False).j_val
+    # J(w_k) <= J <= upper end, up to the rounding of the two values
+    rounding = 1e-14 * abs(tight)
+    assert loose.j_val <= tight + rounding
+    assert tight <= upper + rounding
+    assert upper - tight <= 1e-7
+    if kind == "null":
+        assert upper == loose.j_val
+
+
+def test_direct_sup_bounds_the_tight_sup_of_its_rows(monkeypatch):
+    base = DiracSpace(Grid(12, 12.0), 1.0)
+    model, a = pure_power(2.2), 0.1
+    states = _spy_on_evaluate(monkeypatch)
+    (res,) = level_bounds(model, [2], 4.0, a, base, density=2, j_density=4)
+    assert len(states) == 2 + 4
+    tight = max(evaluate_reduced(model, s.v, tol=1e-12 * a, need_gradient=False).j_val
+                for s in states)
+    assert tight <= res.direct_sup <= tight + 1e-7
