@@ -11,7 +11,8 @@ solve     one normalized solve at the configured mass, seeded from the n/2
 sweep     bifurcation sweep over the configured mass ladder
 multi     deflated multi-start search for distinct solutions
 subspace  subspace ratio / level-bound study over the (k, n) lattice; exit 1
-          when a sampled direct sup lies above its level bound
+          when a sampled direct sup lies above its level bound, or when
+          solve.a exceeds solver.a_max
 
 Configuration is a flat key=value text format with dotted section names
 (``grid.n_per_axis=24``).  Outputs are deterministic for a fixed config and
@@ -52,6 +53,7 @@ from .solver import (
     SolutionRecord,
     bifurcation_sweep,
     multi_start_deflated,
+    require_small_mass,
     solve_normalized,
 )
 from .spectral_core import DiracSpace, FieldError, Grid, SpinorField
@@ -441,8 +443,11 @@ SUBSPACE_COLUMNS = [
 
 def cmd_subspace(cfg: RunConfig, space: DiracSpace, out_dir: Path, quiet: bool) -> int:
     """Write one row per (k, n), k-major; exit 1 if a direct sup exceeds its
-    level bound by more than the sampling slack."""
+    level bound by more than the sampling slack.  The certified J values rest
+    on the concavity margin validated up to a_max, so a larger mass raises
+    SmallnessError before any row is computed."""
     a = cfg.solve_a
+    require_small_mass(cfg.model, a, space, cfg.solver)
     ks = cfg.subspace_k_list
     by_scale = [level_bounds(cfg.model, ks, n, a, space, density=cfg.subspace_density)
                 for n in cfg.subspace_n_ladder]

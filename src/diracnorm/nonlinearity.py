@@ -194,22 +194,30 @@ def _grid_weight(weight: WeightSpec, grid: Grid) -> ArrayF:
     return out
 
 
-def _f_w(model: NonlinearModel, w, t) -> ArrayF:  # w = r(x), the weight values
-    t = _check_t(t)
+def _magnitude(t, squared: bool) -> tuple[ArrayF, float]:
+    """t with the power k for which t^k = |u|: t = |u| (checked, k = 1) or
+    t = |u|^2, a sum of squares (k = 1/2)."""
+    return (np.asarray(t, dtype=float), 0.5) if squared else (_check_t(t), 1.0)
+
+
+def _f_w(model: NonlinearModel, w, t, squared: bool = False) -> ArrayF:
+    """f from the weight values w = r(x) and t = |u|, or t = |u|^2 when squared."""
+    t, k = _magnitude(t, squared)
     if model.kind == "null":
         return np.zeros(np.broadcast_shapes(np.shape(w), t.shape))
     if model.kind == "pure_power":
-        return w * t ** (model.p - 2.0)
-    return w * (t ** (model.p - 2.0) + t ** (model.q - 2.0))
+        return w * t ** (k * (model.p - 2.0))
+    return w * (t ** (k * (model.p - 2.0)) + t ** (k * (model.q - 2.0)))
 
 
-def _F_w(model: NonlinearModel, w, t) -> ArrayF:
-    t = _check_t(t)
+def _F_w(model: NonlinearModel, w, t, squared: bool = False) -> ArrayF:
+    """F from the weight values and |u| (or |u|^2 when squared), as _f_w."""
+    t, k = _magnitude(t, squared)
     if model.kind == "null":
         return np.zeros(np.broadcast_shapes(np.shape(w), t.shape))
     if model.kind == "pure_power":
-        return w * t**model.p / model.p
-    return w * (t**model.p / model.p + t**model.q / model.q)
+        return w * t ** (k * model.p) / model.p
+    return w * (t ** (k * model.p) / model.p + t ** (k * model.q) / model.q)
 
 
 def f_value(model: NonlinearModel, x, t) -> ArrayF:
@@ -249,18 +257,21 @@ def psi_quadrature(model: NonlinearModel, grid: Grid, t) -> float | ArrayF:
 
 
 def psi(model: NonlinearModel, u: SpinorField) -> float:
-    """Grid quadrature of F(x, |u(x)|)."""
+    """Grid quadrature of F(x, |u(x)|), evaluated from |u|^2."""
     if model.kind == "null":
         return 0.0
-    return float(psi_quadrature(model, u.space.grid, u.point_norm()))
+    grid = u.space.grid
+    vals = _F_w(model, _grid_weight(model.weight, grid), u.point_norm_sq(), squared=True)
+    return float(grid.cell_volume * np.sum(vals))
 
 
 def psi_gradient(model: NonlinearModel, u: SpinorField) -> SpinorField:
-    """L2 representative of the derivative of psi: the field f(x, |u|) u."""
+    """L2 representative of the derivative of psi: the field f(x, |u|) u,
+    evaluated from |u|^2."""
     if model.kind == "null":
         return SpinorField.zeros(u.space)
     grid = u.space.grid
-    fvals = _f_w(model, _grid_weight(model.weight, grid), u.point_norm())
+    fvals = _f_w(model, _grid_weight(model.weight, grid), u.point_norm_sq(), squared=True)
     return SpinorField(u.space, fvals[None, :, :, :] * u.values)
 
 

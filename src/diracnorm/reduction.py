@@ -25,6 +25,7 @@ norm domination e_norm^2 >= m l2^2 forces l2_norm(w) <= a / 2.
 
 from __future__ import annotations
 
+import copy
 import warnings
 from dataclasses import dataclass
 
@@ -38,7 +39,6 @@ from .spectral_core import (
     e_norm,
     l2_inner,
     l2_norm,
-    riesz_minus,
     riesz_plus,
     split,
 )
@@ -108,7 +108,12 @@ def energy(model: NonlinearModel, u: SpinorField) -> float:
 
 
 class _Fiber:
-    """Cached quantities of the plus field v reused across inner iterations."""
+    """Cached quantities of the plus field v reused across inner iterations.
+
+    A minus field w of None is the cold start w = 0: there u = v with
+    coefficient 1, so no array is formed and v's grid values are used when
+    it holds them.
+    """
 
     def __init__(self, model: NonlinearModel, v: SpinorField):
         self.model = model
@@ -123,9 +128,15 @@ class _Fiber:
         # used as a diagonal preconditioner in the e-metric
         self.precond = 1.0 / (1.0 + (self.env2 / self.a**2) / self.space.lam)
 
-    def parts(self, w: SpinorField) -> tuple[float, SpinorField]:
+    def parts(self, w: SpinorField | None) -> tuple[float, SpinorField]:
+        """The coefficient c and the fiber point u = c v + w."""
+        if w is None:
+            # a field on v's arrays: grid values computed for u are not kept on v
+            return 1.0, copy.copy(self.v)
         c = _chart_coeff(self.a, w)
-        return c, c * self.v + w
+        u_hat = self.v.hat * c
+        u_hat += w.hat
+        return c, SpinorField.from_hat(self.space, u_hat)
 
     def level(self, c: float, wn: float, u: SpinorField) -> float:
         """Fiber energy of u = c v + w, given c and wn = e_norm(w)."""
@@ -135,20 +146,28 @@ class _Fiber:
         c, u = self.parts(w)
         return self.level(c, e_norm(w), u)
 
-    def gradient(self, w: SpinorField):
+    def gradient(self, w: SpinorField | None):
         """E-metric ascent direction of the inner value at w.
 
         The derivative along a minus direction z is
             -e_inner(w, z) - l2_inner(f(|u|) u, z) - kappa l2_inner(w, z)
         with u = h_map(v, w) and kappa the multiplier quotient of u, so the
-        representative is -(w + riesz_minus(f(|u|) u + kappa w)).
+        representative is -(w + riesz_minus(f(|u|) u + kappa w)), formed on
+        the coefficient arrays: two transforms and one symbol application.
         """
         c, u = self.parts(w)
         fu = psi_gradient(self.model, u)
-        pair_v = l2_inner(fu, self.v)
-        kappa_u = self.env2 / self.a**2 - pair_v / (self.a**2 * c)
-        grad = -(w + riesz_minus(fu + kappa_u * w))
-        return grad, (c, u, fu, kappa_u)
+        fu_hat = fu.hat  # with both forms held, the pairing uses coefficients whatever v holds
+        kappa_u = self.env2 / self.a**2 - l2_inner(fu, self.v) / (self.a**2 * c)
+        if w is None:
+            grad = self.space.riesz_minus_hat(fu_hat)
+        else:
+            rhs = w.hat * kappa_u
+            rhs += fu_hat
+            grad = self.space.riesz_minus_hat(rhs)
+            grad += w.hat
+        np.negative(grad, out=grad)
+        return SpinorField.from_hat(self.space, grad), (c, u, fu, kappa_u)
 
 
 @dataclass
@@ -227,8 +246,8 @@ def inner_maximize(
         tol = 1e-9 * fiber.a
     guard = fiber.radius * (1.0 - _BALL_GUARD)
 
-    w = w0 if w0 is not None else SpinorField.zeros(fiber.space)
-    if e_norm(w) > guard:
+    w = w0  # None: the cold start w = 0
+    if w is not None and e_norm(w) > guard:
         w = w * (guard / e_norm(w))
     grad, aux = fiber.gradient(w)
     gnorm = e_norm(grad)
@@ -238,7 +257,10 @@ def inner_maximize(
         step_hat = grad.hat * fiber.precond
         accepted = False
         for _ in range(40):
-            w_try = SpinorField.from_hat(fiber.space, w.hat + eta * step_hat)
+            trial_hat = step_hat * eta
+            if w is not None:
+                trial_hat += w.hat
+            w_try = SpinorField.from_hat(fiber.space, trial_hat)
             wn = e_norm(w_try)
             if wn > guard:
                 w_try = w_try * (guard / wn)
@@ -260,6 +282,8 @@ def inner_maximize(
             f"inner maximization did not converge in {max_iter} iterations "
             f"(gradient norm {gnorm:.3e}, tol {tol:.3e})"
         )
+    if w is None:  # the cold start already met the tolerance
+        w = SpinorField.zeros(fiber.space)
     wn = e_norm(w)
     boundary_fraction = (wn + gnorm / CONCAVITY_MARGIN) / fiber.radius
     if boundary_fraction >= 0.999:

@@ -179,6 +179,16 @@ def _with_a_max(model: NonlinearModel, space: DiracSpace, opts: SolverOptions) -
     return replace(opts, a_max=calibrate_a_max(model, space, seed=opts.seed))
 
 
+def require_small_mass(
+    model: NonlinearModel, a: float, space: DiracSpace, opts: SolverOptions
+) -> SolverOptions:
+    """opts with a_max calibrated on space; raises SmallnessError when a exceeds it."""
+    opts = _with_a_max(model, space, opts)
+    if a > opts.a_max:
+        raise SmallnessError(f"a={a:g} exceeds the validated threshold a_max={opts.a_max:g}")
+    return opts
+
+
 def _x_a_cap(model: NonlinearModel, m: float, a: float) -> float:
     """The e-norm^2 cap (m + a^((p-2)/2)) a^2 of the small-mass set X_a."""
     return (m + a ** ((model.p - 2.0) / 2.0)) * a * a
@@ -345,9 +355,7 @@ def minimize_on_sphere(
     """
     space = v0.space
     m = space.mass
-    opts = _with_a_max(model, space, opts)
-    if a > opts.a_max:
-        raise SmallnessError(f"a={a:g} exceeds the validated threshold a_max={opts.a_max:g}")
+    opts = require_small_mass(model, a, space, opts)
     nv = l2_norm(v0)
     if abs(nv - a) > 1e-6 * a:
         raise ValueError(f"v0 must lie on the mass sphere: l2_norm(v0)={nv:g}, a={a:g}")

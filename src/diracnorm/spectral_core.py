@@ -175,7 +175,8 @@ class DiracSpace:
 
     Holds everything the field operations need: the frequency mesh, the band
     energy lambda(xi) and the H^(1/2) multiplier, plus FFT helpers in the
-    unitary convention.
+    unitary convention.  The multipliers of riesz_minus_hat are computed on
+    first use.
     """
 
     def __init__(self, grid: Grid, mass: float):
@@ -235,6 +236,21 @@ class DiracSpace:
         out *= 0.5
         return out
 
+    @cached_property
+    def _riesz_minus_weights(self) -> tuple[ArrayF, ArrayF]:
+        """The per-mode multipliers -1/lambda and 1/(2 lambda)."""
+        return -1.0 / self.lam, 0.5 / self.lam
+
+    def riesz_minus_hat(self, hat: ArrayC) -> ArrayC:
+        """Minus projection divided by lambda: (x - symbol(x)/lambda)/(2 lambda),
+        in place on the symbol's output, with no temporary."""
+        neg_inv, half_inv = self._riesz_minus_weights
+        out = self.apply_symbol_hat(hat)
+        out *= neg_inv
+        out += hat
+        out *= half_inv
+        return out
+
 
 class SpinorField:
     """C^4-valued field on a DiracSpace.  Treat instances as immutable.
@@ -277,9 +293,14 @@ class SpinorField:
             self._hat = self.space.fft(self._values)
         return self._hat
 
+    def point_norm_sq(self) -> ArrayF:
+        """Pointwise squared C^4 norm |u(x)|^2 on the grid."""
+        vals = self.values
+        return np.sum(vals.real**2 + vals.imag**2, axis=0)
+
     def point_norm(self) -> ArrayF:
         """Pointwise C^4 norm |u(x)| on the grid."""
-        return np.sqrt(np.sum(np.abs(self.values) ** 2, axis=0))
+        return np.sqrt(self.point_norm_sq())
 
     def _combine(self, other: "SpinorField", op) -> "SpinorField":
         if _in_values(self, other):
@@ -379,10 +400,7 @@ def riesz_plus(u: SpinorField) -> SpinorField:
 
 def riesz_minus(u: SpinorField) -> SpinorField:
     """Minus-part representative of z -> l2_inner(u, z) in the e_inner metric."""
-    sp = u.space
-    out = sp.minus_hat(u.hat)
-    out /= sp.lam
-    return SpinorField.from_hat(sp, out)
+    return SpinorField.from_hat(u.space, u.space.riesz_minus_hat(u.hat))
 
 
 def in_plus_cone(u: SpinorField) -> bool:

@@ -412,11 +412,17 @@ def _reduced_on_sphere(
     The inner solve stops at residual _J_INNER_TOL; with the sampled
     concavity margin mu = CONCAVITY_MARGIN of the fiber energy, the iterate's
     value J(w_k) and inner residual g bound J(v) <= J(w_k) + e_norm(g)^2 / (2 mu).
+    The combination is formed on the basis's grid values as well as its
+    coefficients, so the cold-started inner solve needs no inverse transform.
     """
-    combo = coeffs[0] * plus_fields[0]
+    hat = coeffs[0] * plus_fields[0].hat
+    values = coeffs[0] * plus_fields[0].values
     for ci, p in zip(coeffs[1:], plus_fields[1:]):
-        combo = combo + ci * p
-    v = combo * (a / l2_norm(combo))
+        hat = hat + ci * p.hat
+        values = values + ci * p.values
+    space = plus_fields[0].space
+    scale = a / l2_norm(SpinorField.from_hat(space, hat))
+    v = SpinorField(space, values * scale, hat * scale)
     state = evaluate_reduced(model, v, tol=_J_INNER_TOL, need_gradient=False)
     return state.j_val + state.inner_residual**2 / (2 * CONCAVITY_MARGIN)
 

@@ -288,6 +288,19 @@ def test_cmd_subspace_flags_a_direct_sup_above_its_level_bound(tmp_path, monkeyp
     assert "subspace: row k=1 n=4: direct sup 1 above level bound" in err
 
 
+def test_cmd_subspace_refuses_a_mass_above_a_max(tmp_path, capsys):
+    """The certified J values need the concavity margin validated up to a_max;
+    subspace refuses a larger mass as solve does, before writing any row."""
+    out = tmp_path / "out"
+    cfg = _write(tmp_path, SUBSPACE_SMALL.replace("solve.a=0.1", "solve.a=0.45")
+                 + f"subspace.n_ladder=2,4\nsubspace.sample_density=2\noutput.dir={out}\n")
+    assert main(["subspace", "--config", cfg, "--quiet"]) == 1
+    assert not (out / "subspace.csv").exists()
+    message = "a=0.45 exceeds the validated threshold a_max=0.25"
+    assert (out / "diagnostics.txt").read_text() == f"SmallnessError: {message}\n"
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("line,condition", [
     ("subspace.k_list=0", "k >= 1"),
     ("subspace.k_list=2,-1", "k >= 1"),

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from diracnorm import DiracSpace, DiracSymbol, Grid, dirac_symbol_at, l2_inner, l2_norm
 from diracnorm.nonlinearity import pure_power
-from diracnorm.reduction import _Fiber
+from diracnorm.reduction import _Fiber, inner_maximize
 from diracnorm.spectral_core import SpinorField, gaussian_spinor, random_field, split
 
 FORMS = ("values", "hat", "dual")
@@ -140,3 +140,18 @@ def test_fiber_gradient_does_one_transform_each_way(space12, monkeypatch, v_form
     counter = _TransformCounter(monkeypatch)
     fiber.gradient(w)
     assert counter.calls == {"fft": 1, "ifft": 1}
+
+
+@pytest.mark.parametrize("v_form", ["hat", "dual"])
+def test_cold_start_reads_the_grid_values_v_holds(space12, monkeypatch, v_form):
+    """A cold-started inner solve transforms u back to the grid once per
+    ascent step, plus once at the start unless v already holds its values."""
+    v = split(gaussian_spinor(space12, (0.0, 0.0, 0.0), 1.5)).plus
+    v = v * (0.1 / l2_norm(v))
+    if v_form == "dual":
+        v = SpinorField(space12, v.values.copy(), v.hat.copy())
+    counter = _TransformCounter(monkeypatch)
+    state = inner_maximize(pure_power(2.5), v)
+    assert state.inner_iterations > 0
+    start = 1 if v_form == "hat" else 0
+    assert counter.calls["ifft"] == state.inner_iterations + start

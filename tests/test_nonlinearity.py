@@ -130,6 +130,22 @@ def test_psi_gradient_matches_finite_difference(space12, rng):
     assert np.isclose(psi_pairing(model, u, z), fd, rtol=1e-6)
 
 
+@pytest.mark.parametrize("model", [pure_power(2.5), two_power(2.2, 2.8)], ids=lambda m: m.kind)
+def test_psi_and_its_gradient_from_the_squared_norm_match_f_and_F(space12, rng, model):
+    """psi and psi_gradient work from |u|^2; point by point they agree with
+    f_value and F_value at |u|."""
+    u = random_field(space12, rng, bandwidth=2.0, target_l2=0.5)
+    x = np.stack(np.broadcast_arrays(*space12.grid.position_mesh()), axis=-1)
+    t = np.sqrt(np.sum(np.abs(u.values) ** 2, axis=0))
+    want = f_value(model, x, t)[None] * u.values
+    got = psi_gradient(model, u).values
+    assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want))
+    density = F_value(model, x, t)
+    assert np.all(density > 0)
+    quadrature = space12.grid.cell_volume * np.sum(density)
+    assert abs(psi(model, u) - quadrature) <= 1e-14 * quadrature
+
+
 def test_null_model_is_inert(space12, rng):
     model = null_model()
     u = random_field(space12, rng)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from diracnorm import (
     DomainError,
@@ -17,11 +19,14 @@ from diracnorm import (
     null_model,
     pde_residual,
     psi,
+    psi_gradient,
     pure_power,
     two_power,
 )
 from diracnorm.reduction import _Fiber, minus_ball_radius, sample_concavity, tangent_project
 from diracnorm.spectral_core import (
+    DiracSpace,
+    Grid,
     SpinorField,
     constant_field,
     eigenmode,
@@ -468,3 +473,62 @@ def test_inner_maximize_returns_the_reduced_state(space12, rng, model):
     full = evaluate_reduced(model, v, tol, w0, need_gradient=True)
     attached = attach_gradient(inner_maximize(model, v, tol, w0))
     assert np.array_equal(full.grad_tangent.hat, attached.grad_tangent.hat)
+
+
+MODELS = [pure_power(2.5), two_power(2.2, 2.8), null_model()]
+SPACE12 = DiracSpace(Grid(12, 12.0), 1.0)
+
+
+def _max_rel(got: np.ndarray, want: np.ndarray) -> float:
+    scale = np.max(np.abs(want))
+    return float(np.max(np.abs(got - want)) / scale) if scale else float(np.max(np.abs(got)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    fraction=st.floats(0.05, 0.95),
+    model=st.sampled_from(MODELS),
+)
+def test_fiber_gradient_matches_the_public_composition(seed, fraction, model):
+    """The in-place gradient on coefficient arrays is
+    -(w + riesz_minus(psi_gradient(u) + kappa w)), a minus field."""
+    rng = np.random.default_rng(seed)
+    a = 0.1
+    v = _plus(SPACE12, rng, a)
+    w = _minus_in_ball(SPACE12, rng, a, fraction=fraction)
+    grad, (c, u, fu, kap) = _Fiber(model, v).gradient(w)
+    assert np.array_equal(u.hat, c * v.hat + w.hat)
+    want = -(w + riesz_minus(psi_gradient(model, u) + kap * w))
+    assert _max_rel(grad.hat, want.hat) <= 1e-13
+    assert np.max(np.abs(SPACE12.plus_hat(grad.hat))) <= 1e-14 * np.max(np.abs(grad.hat))
+
+
+@pytest.mark.parametrize("model", MODELS, ids=lambda m: m.kind)
+def test_cold_start_gradient_is_the_lift_at_v(space12, rng, model):
+    """w=None is the cold start w = 0: u is v itself and the direction is
+    -riesz_minus(psi_gradient(v))."""
+    v = _plus(space12, rng, 0.1)
+    grad, (c, u, fu, kap) = _Fiber(model, v).gradient(None)
+    assert c == 1.0 and u.hat is v.hat
+    want = -riesz_minus(psi_gradient(model, v))
+    assert _max_rel(grad.hat, want.hat) <= 1e-13
+
+
+@pytest.mark.parametrize("model", MODELS, ids=lambda m: m.kind)
+def test_cold_start_does_not_depend_on_the_representation_of_v(space12, rng, model):
+    """A cold-started inner solve gives the same bits whether v holds its grid
+    values or only its coefficients, and agrees with an explicit zero start."""
+    v_hat = _plus(space12, rng, 0.1).hat
+    coeffs_only = inner_maximize(model, SpinorField.from_hat(space12, v_hat))
+    both = inner_maximize(model, SpinorField(space12, space12.ifft(v_hat), v_hat))
+    for name in ("j_val", "kappa_val"):
+        assert float.hex(getattr(coeffs_only, name)) == float.hex(getattr(both, name))
+    assert coeffs_only.inner_iterations == both.inner_iterations
+    assert np.array_equal(coeffs_only.w.hat, both.w.hat)
+    zero = inner_maximize(model, SpinorField.from_hat(space12, v_hat),
+                          w0=SpinorField.zeros(space12))
+    for name in ("j_val", "kappa_val"):
+        got, want = getattr(coeffs_only, name), getattr(zero, name)
+        assert abs(got - want) <= 1e-13 * abs(want)
+    assert _max_rel(coeffs_only.w.hat, zero.w.hat) <= 1e-13
