@@ -13,8 +13,10 @@ multiplier quotient kappa, for which the residual operator
 
 annihilates every minus test direction at w(v) and the v direction itself.
 attach_gradient adds the sphere-tangent representative of the derivative of
-J, assembled from that residual (evaluate_reduced does both); driving it to
-zero yields a normalized solution pair (omega, u) with omega = kappa(u).
+J, the plus-part lift of that residual (evaluate_reduced does both); driving
+it to zero yields a normalized solution pair (omega, u) with omega = kappa(u).
+Every sphere point v is a plus field: the fiber chart and the one-symbol form
+of the lift both rest on P_plus v = v.
 A solve does not check inner concavity: sample_concavity samples it, in the
 inner-concavity suite of `diracnorm check`.
 
@@ -146,7 +148,7 @@ class _Fiber:
         c, u = self.parts(w)
         return self.level(c, e_norm(w), u)
 
-    def gradient(self, w: SpinorField | None):
+    def gradient(self, w: SpinorField | None, point: tuple[float, SpinorField] | None = None):
         """E-metric ascent direction of the inner value at w.
 
         The derivative along a minus direction z is
@@ -154,8 +156,10 @@ class _Fiber:
         with u = h_map(v, w) and kappa the multiplier quotient of u, so the
         representative is -(w + riesz_minus(f(|u|) u + kappa w)), formed on
         the coefficient arrays: two transforms and one symbol application.
+        A caller that already holds parts(w) passes it as point, so that u's
+        grid values and |u|^2 are the ones it computed.
         """
-        c, u = self.parts(w)
+        c, u = self.parts(w) if point is None else point
         fu = psi_gradient(self.model, u)
         fu_hat = fu.hat  # with both forms held, the pairing uses coefficients whatever v holds
         kappa_u = self.env2 / self.a**2 - l2_inner(fu, self.v) / (self.a**2 * c)
@@ -172,7 +176,7 @@ class _Fiber:
 
 @dataclass
 class ReducedState:
-    """The reduced functional at one sphere point v; attach_gradient sets the last three fields."""
+    """The reduced functional at one sphere point v; attach_gradient sets the last two fields."""
 
     v: SpinorField
     a: float  # l2_norm(v)
@@ -185,8 +189,7 @@ class ReducedState:
     inner_residual: float  # e_norm of the inner ascent direction at w
     inner_iterations: int
     grad_tangent: SpinorField | None = None
-    riesz_v: SpinorField | None = None  # riesz_plus(v)
-    residual: SpinorField | None = None  # H0 g - f(|g|) g - kappa g
+    riesz_v: SpinorField | None = None  # riesz_plus(v) = v / lambda
 
 
 def inner_gradient(model: NonlinearModel, v: SpinorField, w: SpinorField) -> SpinorField:
@@ -229,7 +232,8 @@ def inner_maximize(
     tol: float | None = None,
     w0: SpinorField | None = None,
     max_iter: int = 500,
-) -> ReducedState:
+    reject_above: float | None = None,
+) -> ReducedState | None:
     """Maximize the fiber energy over the admissible minus ball.
 
     Damped ascent in the e-metric with the exact per-mode curvature of the
@@ -240,16 +244,27 @@ def inner_maximize(
     validated smallness regime and raises.  The maximizer lies within
     inner_residual / CONCAVITY_MARGIN of the returned w, so that distance
     counts towards the boundary test.
+
+    With reject_above given, returns None without iterating when the fiber
+    energy at the start already exceeds it: J(v), the maximum over the ball,
+    is at least that energy, so J(v) > reject_above is certain.
     """
     fiber = _Fiber(model, v)
     if tol is None:
         tol = 1e-9 * fiber.a
     guard = fiber.radius * (1.0 - _BALL_GUARD)
 
-    w = w0  # None: the cold start w = 0
-    if w is not None and e_norm(w) > guard:
-        w = w * (guard / e_norm(w))
-    grad, aux = fiber.gradient(w)
+    w, wn = w0, 0.0  # w None: the cold start w = 0
+    if w is not None:
+        wn = e_norm(w)
+        if wn > guard:
+            w = w * (guard / wn)
+            wn = e_norm(w)
+    # the start's grid values and |u|^2 serve both its energy and its gradient
+    c0, u0 = fiber.parts(w)
+    if reject_above is not None and fiber.level(c0, wn, u0) > reject_above:
+        return None
+    grad, aux = fiber.gradient(w, (c0, u0))
     gnorm = e_norm(grad)
     eta = 1.0
     iterations = 0
@@ -336,14 +351,20 @@ def attach_gradient(state: ReducedState) -> ReducedState:
     """Fill in the sphere-tangent gradient of the reduced value at state.v.
 
     The derivative along a tangent direction z equals
-    fiber_coeff * l2_inner(residual(g), z); the representative is the
-    tangent-projected plus-part riesz lift of the residual, scaled by the
-    fiber coefficient sqrt(a^2 - |w|_2^2)/a.
+    c * l2_inner(residual(g), z), with c = fiber_coeff; the representative is
+    c times the tangent-projected riesz_plus(residual(g)).  The plus part of
+    g = c v + w is c v, and H0 acts on a plus field as lambda, so
+        riesz_plus(H0 g - f(|g|) g - kappa g) = c v - riesz_plus(f(|g|) g) - c kappa v / lambda,
+    and the last term, a multiple of riesz_plus(v) = v / lambda, is what the
+    projection removes: one symbol application in all.
     """
-    state.residual = apply_h0(state.g) - state.fu - state.kappa_val * state.g
-    raw = state.fiber_coeff * riesz_plus(state.residual)
-    state.riesz_v = riesz_plus(state.v)
-    state.grad_tangent = tangent_project(state.v, raw, state.riesz_v)
+    sp = state.v.space
+    c = state.fiber_coeff
+    state.riesz_v = SpinorField.from_hat(sp, state.v.hat / sp.lam)
+    raw = state.v.hat * c
+    raw -= riesz_plus(state.fu).hat
+    raw *= c
+    state.grad_tangent = tangent_project(state.v, SpinorField.from_hat(sp, raw), state.riesz_v)
     return state
 
 
@@ -354,7 +375,12 @@ def evaluate_reduced(
     w0: SpinorField | None = None,
     max_iter: int = 500,
     need_gradient: bool = True,
-) -> ReducedState:
-    """inner_maximize at v, with the sphere-tangent gradient attached when asked."""
-    state = inner_maximize(model, v, tol=tol, w0=w0, max_iter=max_iter)
-    return attach_gradient(state) if need_gradient else state
+    reject_above: float | None = None,
+) -> ReducedState | None:
+    """inner_maximize at v, with the sphere-tangent gradient attached when asked;
+    None when inner_maximize rejects v against reject_above."""
+    state = inner_maximize(model, v, tol=tol, w0=w0, max_iter=max_iter,
+                           reject_above=reject_above)
+    if state is None or not need_gradient:
+        return state
+    return attach_gradient(state)

@@ -34,6 +34,7 @@ from .spectral_core import (
     DiracSpace,
     FieldError,
     SpinorField,
+    apply_h0,
     e_inner,
     e_norm,
     gaussian_spinor,
@@ -194,18 +195,20 @@ def _x_a_cap(model: NonlinearModel, m: float, a: float) -> float:
     return (m + a ** ((model.p - 2.0) / 2.0)) * a * a
 
 
-def _objective(state: ReducedState, centers, strength) -> float:
-    """J plus the deflation penalty strength/|v - c|_2^2 of every center c."""
-    return state.j_val + sum(strength / max(l2_norm(state.v - c) ** 2, 1e-300) for c in centers)
+def _penalty(v: SpinorField, centers, strength) -> tuple[float, list[float]]:
+    """The deflation penalty, strength/|v - c|_2^2 summed over the centers
+    (c, riesz_plus(c)), and the floored |v - c|_2^2 of each."""
+    dist_sq = [max(l2_norm(v - c) ** 2, 1e-300) for c, _ in centers]
+    return sum(strength / d for d in dist_sq), dist_sq
 
 
-def _search_direction(state: ReducedState, centers, strength) -> SpinorField:
-    """Sphere-tangent gradient of _objective; the raw deflation terms are
-    summed first and projected once."""
+def _search_direction(state: ReducedState, centers, dist_sq, strength) -> SpinorField:
+    """Sphere-tangent gradient of J plus the penalty; the raw deflation terms,
+    riesz_plus(v - c) = riesz_plus(v) - riesz_plus(c) scaled, are summed
+    first and projected once."""
     extra = None
-    for c in centers:
-        diff = state.v - c
-        term = (-2.0 * strength / max(l2_norm(diff) ** 2, 1e-300) ** 2) * riesz_plus(diff)
+    for (_, riesz_c), d in zip(centers, dist_sq):
+        term = (-2.0 * strength / d**2) * (state.riesz_v - riesz_c)
         extra = term if extra is None else extra + term
     if extra is None:
         return state.grad_tangent
@@ -292,7 +295,7 @@ def _build_record(
     a = state.a
     u = state.g
     omega = state.kappa_val
-    residual = l2_norm(state.residual)
+    residual = l2_norm(apply_h0(u) - state.fu - omega * u)
     u_l2 = l2_norm(u)
     grad_norm = e_norm(state.grad_tangent)
     in_x_a = e_norm(state.v) ** 2 <= _x_a_cap(model, m, a) * (1.0 + 1e-12)
@@ -352,6 +355,12 @@ def minimize_on_sphere(
     m a^2 / 2 the e-norm cap (m + a^((p-2)/2)) a^2 is asserted on every later
     iterate; violation signals a mass outside the small regime.  The record's
     iterations are the completed steps, or max_outer, or the stalled step.
+
+    v0 must be a plus field, as default_initial_guess, prolong and the
+    multi-start fields are; every iterate then stays one, since the search
+    directions are combinations of riesz_plus lifts and per-mode rescalings
+    of plus fields.  A trial whose warm-start fiber energy already fails the
+    Armijo test is rejected without an inner solve (see inner_maximize).
     """
     space = v0.space
     m = space.mass
@@ -362,7 +371,7 @@ def minimize_on_sphere(
     v = v0 * (a / nv)
     if not in_plus_cone(v):
         raise ValueError("v0 leaves the admissible cone e_norm < sqrt(m+1) l2_norm")
-    centers = deflation_centers or []
+    centers = [(c, riesz_plus(c)) for c in deflation_centers or []]
     strength = opts.deflation_strength
     tol_inner_abs = opts.tol_inner * a
     tol = opts.tol_grad * a
@@ -372,12 +381,13 @@ def minimize_on_sphere(
     state = evaluate_reduced(
         model, v, tol=tol_inner_abs, max_iter=opts.max_inner, need_gradient=True
     )
-    obj = _objective(state, centers, strength)
+    penalty, dist_sq = _penalty(v, centers, strength)
+    obj = state.j_val + penalty
     history = [state.j_val]
     step = opts.step_init
     below_half = state.j_val < half_level
     qn = _QuasiNewton(space)
-    grad = _search_direction(state, centers, strength)
+    grad = _search_direction(state, centers, dist_sq, strength)
     iterations = stagnant = 0
     stall = exhausted = None
     while True:
@@ -404,6 +414,8 @@ def minimize_on_sphere(
             if not in_plus_cone(v_try):
                 step *= 0.5
                 continue
+            penalty, dist_sq = _penalty(v_try, centers, strength)
+            armijo = obj - opts.armijo_c * step * threshold
             # a rejected trial (and the f(|u|)u it carries) is not held
             # through the next evaluation
             state_try = None
@@ -414,11 +426,13 @@ def minimize_on_sphere(
                 w0=state.w,
                 max_iter=opts.max_inner,
                 need_gradient=False,
+                reject_above=armijo - penalty,
             )
-            obj_try = _objective(state_try, centers, strength)
-            if obj_try <= obj - opts.armijo_c * step * threshold:
-                accepted = True
-                break
+            if state_try is not None:
+                obj_try = state_try.j_val + penalty
+                if obj_try <= armijo:
+                    accepted = True
+                    break
             step *= 0.5
         if not accepted or step < 1e-13:
             stall = f"line search made no certifiable progress at step {step:.3e}"
@@ -433,7 +447,7 @@ def minimize_on_sphere(
             )
             break
         state_new = attach_gradient(state_try)
-        grad_new = _search_direction(state_new, centers, strength)
+        grad_new = _search_direction(state_new, centers, dist_sq, strength)
         qn.push(state_new.v - v, grad_new - grad)
         v, state, grad, obj = state_new.v, state_new, grad_new, obj_try
         history.append(state.j_val)

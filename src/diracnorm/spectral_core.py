@@ -261,9 +261,10 @@ class SpinorField:
     values when both operands hold values and at least one lacks
     coefficients, and combine coefficients otherwise (transforming an operand
     that lacks them); the result holds only the representation combined.
+    The pointwise |u|^2 is also computed once and kept.
     """
 
-    __slots__ = ("space", "_values", "_hat")
+    __slots__ = ("space", "_values", "_hat", "_norm_sq")
 
     def __init__(self, space: DiracSpace, values: ArrayC | None, hat: ArrayC | None = None):
         if values is None and hat is None:
@@ -271,6 +272,7 @@ class SpinorField:
         self.space = space
         self._values = values
         self._hat = hat
+        self._norm_sq: ArrayF | None = None
 
     @classmethod
     def zeros(cls, space: DiracSpace) -> "SpinorField":
@@ -294,9 +296,13 @@ class SpinorField:
         return self._hat
 
     def point_norm_sq(self) -> ArrayF:
-        """Pointwise squared C^4 norm |u(x)|^2 on the grid."""
-        vals = self.values
-        return np.sum(vals.real**2 + vals.imag**2, axis=0)
+        """Pointwise squared C^4 norm |u(x)|^2 on the grid; read-only, since
+        every later call returns the same array."""
+        if self._norm_sq is None:
+            vals = self.values
+            self._norm_sq = np.sum(vals.real**2 + vals.imag**2, axis=0)
+            self._norm_sq.setflags(write=False)
+        return self._norm_sq
 
     def point_norm(self) -> ArrayF:
         """Pointwise C^4 norm |u(x)| on the grid."""

@@ -155,3 +155,52 @@ def test_cold_start_reads_the_grid_values_v_holds(space12, monkeypatch, v_form):
     assert state.inner_iterations > 0
     start = 1 if v_form == "hat" else 0
     assert counter.calls["ifft"] == state.inner_iterations + start
+
+
+def test_a_fiber_point_computes_its_pointwise_norm_once(space12, monkeypatch):
+    """psi at the warm start and at the maximizer reads the |u|^2 that
+    psi_gradient computed at the same fiber point: one pass per point."""
+    import diracnorm.reduction as reduction
+
+    rng = np.random.default_rng(12)
+    v = random_field(space12, rng, bandwidth=1.0, part="plus", target_l2=0.1)
+    w0 = random_field(space12, rng, bandwidth=1.0, part="minus", target_l2=1e-3)
+    passes, gradient_points, level_points = [], [], []
+    norm_sq = SpinorField.point_norm_sq
+
+    def counted(u):
+        if u._norm_sq is None:
+            passes.append(u)
+        return norm_sq(u)
+
+    psi, psi_gradient = reduction.psi, reduction.psi_gradient
+    monkeypatch.setattr(SpinorField, "point_norm_sq", counted)
+    monkeypatch.setattr(reduction, "psi", lambda m, u: level_points.append(u) or psi(m, u))
+    monkeypatch.setattr(reduction, "psi_gradient",
+                        lambda m, u: gradient_points.append(u) or psi_gradient(m, u))
+    state = inner_maximize(pure_power(2.5), v, w0=w0, reject_above=np.inf)
+    assert state.inner_iterations > 0
+    assert len(passes) == len(gradient_points)
+    assert all(p is q for p, q in zip(passes, gradient_points))
+    assert len(level_points) == 2
+    assert level_points[0] is gradient_points[0] and level_points[1] is state.g
+    assert any(u is state.g for u in gradient_points)
+    assert not state.g.point_norm_sq().flags.writeable
+
+
+def test_a_rejected_warm_start_costs_one_inverse_transform(space12, monkeypatch):
+    """The bound is decided from the start's grid values alone; a passed bound
+    adds no transform to the solve."""
+    rng = np.random.default_rng(13)
+    v = random_field(space12, rng, bandwidth=1.0, part="plus", target_l2=0.1)
+    w0 = random_field(space12, rng, bandwidth=1.0, part="minus", target_l2=1e-3)
+    model = pure_power(2.5)
+    counter = _TransformCounter(monkeypatch)
+    assert inner_maximize(model, v, w0=w0, reject_above=-np.inf) is None
+    assert counter.calls == {"fft": 0, "ifft": 1}
+    counter.calls = {"fft": 0, "ifft": 0}
+    inner_maximize(model, v, w0=w0)
+    plain = dict(counter.calls)
+    counter.calls = {"fft": 0, "ifft": 0}
+    inner_maximize(model, v, w0=w0, reject_above=np.inf)
+    assert counter.calls == plain

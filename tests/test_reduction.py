@@ -33,6 +33,7 @@ from diracnorm.spectral_core import (
     normalized,
     random_field,
     riesz_minus,
+    riesz_plus,
     split,
 )
 
@@ -532,3 +533,52 @@ def test_cold_start_does_not_depend_on_the_representation_of_v(space12, rng, mod
         got, want = getattr(coeffs_only, name), getattr(zero, name)
         assert abs(got - want) <= 1e-13 * abs(want)
     assert _max_rel(coeffs_only.w.hat, zero.w.hat) <= 1e-13
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    fraction=st.one_of(st.none(), st.floats(0.05, 1.5)),
+    t=st.floats(-1.0, 2.0),
+    model=st.sampled_from(MODELS),
+)
+def test_a_rejected_start_certifies_that_the_level_exceeds_the_bound(seed, fraction, t, model):
+    """evaluate_reduced(..., reject_above=b) returns None only when the
+    unbounded solve's J(v) exceeds b, and otherwise the unbounded state, bit
+    for bit.  b sweeps past the warm start's fiber energy and past J(v); a
+    fraction above 1 starts outside the ball guard, None is the cold start."""
+    rng = np.random.default_rng(seed)
+    a = 0.1
+    v = _plus(SPACE12, rng, a)
+    w0 = None if fraction is None else _minus_in_ball(SPACE12, rng, a, fraction=fraction)
+    full = evaluate_reduced(model, v, w0=w0, need_gradient=False)
+    start = _Fiber(model, v).value(SpinorField.zeros(SPACE12) if w0 is None else w0)
+    bound = start + t * (full.j_val - start)
+    state = evaluate_reduced(model, v, w0=w0, need_gradient=False, reject_above=bound)
+    if state is None:
+        assert full.j_val > bound
+    else:
+        assert float.hex(state.j_val) == float.hex(full.j_val)
+        assert np.array_equal(state.w.hat, full.w.hat)
+        assert state.inner_iterations == full.inner_iterations
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    fraction=st.floats(0.05, 0.9),
+    model=st.sampled_from(MODELS),
+)
+def test_one_symbol_gradient_matches_the_residual_lift(seed, fraction, model):
+    """attach_gradient's c (c v - riesz_plus(f(|g|) g)), tangent-projected,
+    is c times the projected riesz_plus of the full residual
+    H0 g - f(|g|) g - kappa g, and riesz_v is riesz_plus(v)."""
+    rng = np.random.default_rng(seed)
+    a = 0.1
+    v = _plus(SPACE12, rng, a)
+    w0 = _minus_in_ball(SPACE12, rng, a, fraction=fraction)
+    state = evaluate_reduced(model, v, w0=w0)
+    residual = apply_h0(state.g) - state.fu - state.kappa_val * state.g
+    want = state.fiber_coeff * tangent_project(v, riesz_plus(residual))
+    assert _max_rel(state.grad_tangent.hat, want.hat) <= 1e-12
+    assert _max_rel(state.riesz_v.hat, riesz_plus(v).hat) <= 1e-12

@@ -1,5 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from diracnorm import (
     SolverOptions,
@@ -14,10 +18,19 @@ from diracnorm import (
     null_model,
     pde_residual,
     pure_power,
+    two_power,
 )
 import diracnorm.solver as solver_module
-from diracnorm.reduction import SmallnessError
-from diracnorm.solver import DescentStallError, _family_groups, default_initial_guess
+from diracnorm.reduction import SmallnessError, evaluate_reduced, tangent_project
+from diracnorm.solver import (
+    DescentStallError,
+    SolutionRecord,
+    _family_groups,
+    _penalty,
+    _search_direction,
+    default_initial_guess,
+)
+from diracnorm.spectral_core import DiracSpace, Grid, SpinorField, random_field, riesz_plus
 
 
 @pytest.fixture(scope="module")
@@ -303,3 +316,79 @@ def test_multi_verifies_a_converged_undeflated_search_without_a_cold_solve(
 ):
     # four starts; only the deflated searches need an undeflated polish
     assert len(_cold_points(monkeypatch, SolverOptions(), space12)) <= 7
+
+
+def _assert_records_bit_equal(got: SolutionRecord, want: SolutionRecord) -> None:
+    for spec in dataclasses.fields(SolutionRecord):
+        x, y = getattr(got, spec.name), getattr(want, spec.name)
+        if isinstance(x, SpinorField):
+            assert np.array_equal(x.hat, y.hat), spec.name
+        elif isinstance(x, float):
+            assert float.hex(x) == float.hex(y), spec.name
+        elif spec.name == "history":
+            assert [float.hex(h) for h in x] == [float.hex(h) for h in y]
+        else:
+            assert x == y, spec.name
+
+
+@pytest.mark.parametrize("deflated", [False, True], ids=["plain", "deflated"])
+def test_warm_start_rejection_leaves_every_line_search_decision(space12, monkeypatch, deflated):
+    """A descent whose failing trials are rejected from their warm-start bound
+    takes the same steps, bit for bit, as one that inner-solves every trial."""
+    model, a = pure_power(2.5), 0.1
+    opts = SolverOptions(max_outer=60)
+    v0 = default_initial_guess(space12, model, a)
+    centers = None
+    if deflated:
+        centers = [minimize_on_sphere(model, a, v0, opts).v_star]
+        v0 = random_field(space12, np.random.default_rng(5), bandwidth=1.0, part="plus",
+                          target_l2=a)
+    evaluate = solver_module.evaluate_reduced
+    rejected = []
+
+    def bounded(*args, **kwargs):
+        state = evaluate(*args, **kwargs)
+        rejected.append(state is None)
+        return state
+
+    def unbounded(*args, reject_above=None, **kwargs):
+        return evaluate(*args, **kwargs)
+
+    monkeypatch.setattr(solver_module, "evaluate_reduced", bounded)
+    got = solver_module._record(model, a, v0, opts, centers)
+    monkeypatch.setattr(solver_module, "evaluate_reduced", unbounded)
+    want = solver_module._record(model, a, v0, opts, centers)
+    assert any(rejected)
+    _assert_records_bit_equal(got, want)
+
+
+SPACE12 = DiracSpace(Grid(12, 12.0), 1.0)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_centers=st.integers(1, 3),
+    model=st.sampled_from([pure_power(2.5), two_power(2.2, 2.8), null_model()]),
+)
+def test_deflated_direction_matches_the_lift_of_each_difference(seed, n_centers, model):
+    """The deflation terms built from riesz_plus(v) - riesz_plus(c) equal the
+    tangent-projected sum of -2 strength / |v - c|^4 riesz_plus(v - c)."""
+    rng = np.random.default_rng(seed)
+    a, strength = 0.1, 1e-6
+    v = random_field(SPACE12, rng, bandwidth=1.0, part="plus", target_l2=a)
+    found = [random_field(SPACE12, rng, bandwidth=1.0, part="plus", target_l2=a)
+             for _ in range(n_centers)]
+    centers = [(c, riesz_plus(c)) for c in found]
+    state = evaluate_reduced(model, v)
+    # the deflation part alone: the reduced gradient set to zero
+    bare = dataclasses.replace(state, grad_tangent=SpinorField.zeros(SPACE12))
+    _, dist_sq = _penalty(v, centers, strength)
+    got = _search_direction(bare, centers, dist_sq, strength)
+    extra = None
+    for c in found:
+        term = (-2.0 * strength / l2_norm(v - c) ** 4) * riesz_plus(v - c)
+        extra = term if extra is None else extra + term
+    want = tangent_project(v, extra)
+    scale = np.max(np.abs(want.hat))
+    assert np.max(np.abs(got.hat - want.hat)) <= 1e-12 * scale
