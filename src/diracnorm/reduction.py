@@ -161,13 +161,12 @@ class _Fiber:
         """
         c, u = self.parts(w) if point is None else point
         fu = psi_gradient(self.model, u)
-        fu_hat = fu.hat  # with both forms held, the pairing uses coefficients whatever v holds
         kappa_u = self.env2 / self.a**2 - l2_inner(fu, self.v) / (self.a**2 * c)
         if w is None:
-            grad = self.space.riesz_minus_hat(fu_hat)
+            grad = self.space.riesz_minus_hat(fu.hat)
         else:
             rhs = w.hat * kappa_u
-            rhs += fu_hat
+            rhs += fu.hat
             grad = self.space.riesz_minus_hat(rhs)
             grad += w.hat
         np.negative(grad, out=grad)

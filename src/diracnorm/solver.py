@@ -357,10 +357,11 @@ def minimize_on_sphere(
     iterations are the completed steps, or max_outer, or the stalled step.
 
     v0 must be a plus field, as default_initial_guess, prolong and the
-    multi-start fields are; every iterate then stays one, since the search
-    directions are combinations of riesz_plus lifts and per-mode rescalings
-    of plus fields.  A trial whose warm-start fiber energy already fails the
-    Armijo test is rejected without an inner solve (see inner_maximize).
+    multi-start fields are (a minus part above 1e-10 a is refused); every
+    iterate then stays one, since the search directions are combinations of
+    riesz_plus lifts and per-mode rescalings of plus fields.  A trial whose
+    warm-start fiber energy already fails the Armijo test is rejected
+    without an inner solve (see inner_maximize).
     """
     space = v0.space
     m = space.mass
@@ -371,6 +372,9 @@ def minimize_on_sphere(
     v = v0 * (a / nv)
     if not in_plus_cone(v):
         raise ValueError("v0 leaves the admissible cone e_norm < sqrt(m+1) l2_norm")
+    minus = l2_norm(SpinorField.from_hat(space, space.minus_hat(v.hat)))
+    if minus > 1e-10 * a:
+        raise ValueError(f"v0 must be a plus field: its minus part has l2 norm {minus:.3e}")
     centers = [(c, riesz_plus(c)) for c in deflation_centers or []]
     strength = opts.deflation_strength
     tol_inner_abs = opts.tol_inner * a

@@ -1,14 +1,15 @@
 """Periodic-box spectral calculus for the free Dirac operator.
 
 Spinor fields are C^4-valued functions on a uniform periodic grid over a
-centered cube, held as grid samples, as Fourier coefficients, or both (see
+centered cube.  Their sums, scalings and L2 pairings act on Fourier
+coefficients; grid samples serve only the pointwise work (see
 :class:`SpinorField`).  Every linear operation is diagonal per Fourier mode:
 at frequency xi the 4x4 symbol of -i alpha.grad + m beta equals
 alpha.xi + m beta, with eigenvalues +-lambda(xi), lambda(xi) = sqrt(|xi|^2 + m^2),
 each of multiplicity two.  The forward transform uses the unitary exp(-i xi.x)
 kernel, so -i d/dx_k acts as multiplication by xi_k, the mode-by-mode
-projector algebra is exact on band-limited data, and L2 pairings can be taken
-on either representation (Parseval).
+projector algebra is exact on band-limited data, and an L2 pairing of
+coefficients equals the grid quadrature (Parseval).
 
 Conventions
 -----------
@@ -257,11 +258,10 @@ class SpinorField:
 
     A field holds grid values (shape (4, n, n, n)), Fourier coefficients of
     the same shape, or both; the missing representation is computed on first
-    use and cached.  ``+``, ``-``, negation and scalar ``*`` combine grid
-    values when both operands hold values and at least one lacks
-    coefficients, and combine coefficients otherwise (transforming an operand
-    that lacks them); the result holds only the representation combined.
-    The pointwise |u|^2 is also computed once and kept.
+    use and cached.  ``+``, ``-``, negation and scalar ``*`` act on the
+    coefficients and return a field that holds only coefficients; the grid
+    values serve pointwise work.  The pointwise |u|^2 is also computed once
+    and kept.
     """
 
     __slots__ = ("space", "_values", "_hat", "_norm_sq")
@@ -308,30 +308,19 @@ class SpinorField:
         """Pointwise C^4 norm |u(x)| on the grid."""
         return np.sqrt(self.point_norm_sq())
 
-    def _combine(self, other: "SpinorField", op) -> "SpinorField":
-        if _in_values(self, other):
-            return SpinorField(self.space, op(self._values, other._values))
-        return SpinorField.from_hat(self.space, op(self.hat, other.hat))
-
     def __add__(self, other: "SpinorField") -> "SpinorField":
-        return self._combine(other, np.add)
+        return SpinorField.from_hat(self.space, self.hat + other.hat)
 
     def __sub__(self, other: "SpinorField") -> "SpinorField":
-        return self._combine(other, np.subtract)
+        return SpinorField.from_hat(self.space, self.hat - other.hat)
 
     def __neg__(self) -> "SpinorField":
-        return self._combine(self, lambda arr, _: -arr)
+        return SpinorField.from_hat(self.space, -self.hat)
 
     def __mul__(self, scalar) -> "SpinorField":
-        return self._combine(self, lambda arr, _: arr * scalar)
+        return SpinorField.from_hat(self.space, self.hat * scalar)
 
     __rmul__ = __mul__
-
-
-def _in_values(u: SpinorField, v: SpinorField) -> bool:
-    """Whether an operation on u and v works on grid values (see SpinorField)."""
-    both_values = u._values is not None and v._values is not None
-    return both_values and (u._hat is None or v._hat is None)
 
 
 @dataclass(eq=False)
@@ -352,14 +341,12 @@ def _real_dot(a: ArrayC, b: ArrayC) -> float:
 
 
 def l2_inner(u: SpinorField, v: SpinorField) -> float:
-    """Real part of the L2 pairing, cell-volume quadrature (or Parseval)."""
-    pair = _real_dot(u.values, v.values) if _in_values(u, v) else _real_dot(u.hat, v.hat)
-    return u.space.grid.cell_volume * pair
+    """Real part of the L2 pairing (cell-volume quadrature), by Parseval on the coefficients."""
+    return u.space.grid.cell_volume * _real_dot(u.hat, v.hat)
 
 
 def l2_norm(u: SpinorField) -> float:
-    arr = u._values if u._hat is None else u._hat
-    return float(np.sqrt(u.space.grid.cell_volume * _real_dot(arr, arr)))
+    return float(np.sqrt(u.space.grid.cell_volume * _real_dot(u.hat, u.hat)))
 
 
 def _mode_pairing(u: SpinorField, v: SpinorField, weight: ArrayF) -> float:

@@ -79,12 +79,7 @@ def test_arithmetic_on_mixed_representations_matches_eager(left, right, op, scal
         "mul": lambda: (u * scalar, a * scalar),
         "rmul": lambda: (scalar * u, scalar * a),
     }[op]()
-    forms = (left, right) if op in ("add", "sub") else (left, left)
-    combined_values = "hat" not in forms and "values" in forms
-    assert (result._values is not None, result._hat is not None) == (
-        combined_values,
-        not combined_values,
-    )
+    assert result._values is None  # grid values are formed only when asked for
     if not np.any(expected):
         return
     assert _close(result.values, expected, 1e-13)
@@ -122,6 +117,20 @@ class _TransformCounter:
             return original(space, arr)
 
         return counted
+
+
+@pytest.mark.parametrize("left", FORMS)
+@pytest.mark.parametrize("right", FORMS)
+def test_arithmetic_and_l2_pairings_read_coefficients(monkeypatch, left, right):
+    """Sums, scalings and L2 pairings read coefficients: an operand that holds
+    only grid values is transformed once, on first use, and nothing else is."""
+    space = DiracSpace(Grid(6, 7.0), 1.0)
+    u = _field(space, _random_values(space, 1), left)
+    v = _field(space, _random_values(space, 2), right)
+    counter = _TransformCounter(monkeypatch)
+    for _ in range(2):
+        u + v, u - v, -u, 2.0 * u, l2_inner(u, v), l2_norm(u)
+    assert counter.calls == {"fft": (left, right).count("values"), "ifft": 0}
 
 
 @pytest.mark.parametrize("v_form", ["hat", "values"])

@@ -30,7 +30,16 @@ from diracnorm.solver import (
     _search_direction,
     default_initial_guess,
 )
-from diracnorm.spectral_core import DiracSpace, Grid, SpinorField, random_field, riesz_plus
+from diracnorm.spectral_core import (
+    DiracSpace,
+    Grid,
+    SpinorField,
+    gaussian_spinor,
+    normalized,
+    random_field,
+    riesz_plus,
+    split,
+)
 
 
 @pytest.fixture(scope="module")
@@ -106,6 +115,18 @@ def test_rejects_off_sphere_start(space16, opts):
     v0 = default_initial_guess(space16, model, 0.1)
     with pytest.raises(ValueError, match="sphere"):
         minimize_on_sphere(model, 0.2, v0, opts)
+
+
+def test_rejects_a_start_with_a_minus_part(opts):
+    """The fiber chart and the sphere gradient assume P+ v = v, so a start
+    with a minus part is refused with its measured size."""
+    space = DiracSpace(Grid(12, 16.0), 1.0)
+    model, a = pure_power(2.5), 0.1
+    v0 = normalized(gaussian_spinor(space, model.cone_center, 2.0), a)
+    minus = l2_norm(split(v0).minus)
+    assert minus == pytest.approx(2.59e-2, rel=1e-3)
+    with pytest.raises(ValueError, match=f"plus field: its minus part has l2 norm {minus:.3e}"):
+        minimize_on_sphere(model, a, v0, opts)
 
 
 def test_calibrated_threshold_covers_small_masses(space12):
