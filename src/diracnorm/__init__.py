@@ -67,7 +67,6 @@ from .subspaces import (
     LevelBoundResult,
     SubspaceReport,
     hermite_function,
-    level_bound,
     level_bounds,
     mean_value,
     periodic_solution_phi,

@@ -459,8 +459,8 @@ def cmd_subspace(cfg: RunConfig, space: DiracSpace, out_dir: Path, quiet: bool) 
         if not bound.consistent:
             warnings.append(f"direct sup {format_real(bound.direct_sup)} above level bound "
                             f"{format_real(bound.analytic_bound)}")
-            inconsistent.append(f"k={bound.k} n={format_real(bound.n)}: {warnings[-1]}")
-        rows.append([bound.k, bound.n, report.sup_quad, report.inf_psi, report.ratio,
+            inconsistent.append(f"k={report.k} n={format_real(report.n)}: {warnings[-1]}")
+        rows.append([report.k, report.n, report.sup_quad, report.inf_psi, report.ratio,
                      report.injective, bound.analytic_bound, bound.below_half_level,
                      ";".join(warnings)])
     _write_csv(out_dir / "subspace.csv", SUBSPACE_COLUMNS, rows)

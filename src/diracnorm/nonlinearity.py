@@ -89,8 +89,9 @@ class NonlinearModel:
         if self.kind not in MODEL_KINDS:
             raise FieldError(f"model kind must be one of {MODEL_KINDS}, got {self.kind!r}",
                              "kind")
-        if len(self.cone_center) != 3:
-            raise FieldError("the cone center must have three components", "cone_center")
+        if len(self.cone_center) != 3 or not np.all(np.isfinite(self.cone_center)):
+            raise FieldError("the cone center must have three components, each finite",
+                             "cone_center")
         if self.kind == "null":
             return
         if not (2.0 < self.p <= self.q < 3.0):
@@ -121,8 +122,8 @@ class NonlinearModel:
                 f"(got decay={self.weight.decay_rate}, tau={self.tau})",
                 "weight.decay_rate", "tau",
             )
-        if not self.t0 > 0:
-            raise FieldError(f"t0 must be positive, got {self.t0}", "t0")
+        if not 0 < self.t0 < np.inf:
+            raise FieldError(f"t0 must be positive and finite, got {self.t0}", "t0")
         if not self.cone_radius > 0:
             raise FieldError(f"cone_radius must be positive, got {self.cone_radius}",
                              "cone_radius")
@@ -133,8 +134,8 @@ class NonlinearModel:
                 f"(got d={self.cone_radius}, |x0|={np.linalg.norm(x0):g})",
                 "cone_radius", "cone_center",
             )
-        if self.lower_const is not None and not self.lower_const > 0:
-            raise FieldError(f"lower_const must be positive, got {self.lower_const}",
+        if self.lower_const is not None and not 0 < self.lower_const < np.inf:
+            raise FieldError(f"lower_const must be positive and finite, got {self.lower_const}",
                              "lower_const")
 
     @property
@@ -246,13 +247,13 @@ def f_prime(model: NonlinearModel, x, t) -> ArrayF:
     )
 
 
-def psi_quadrature(model: NonlinearModel, grid: Grid, t) -> float | ArrayF:
-    """Grid quadrature of F(x, t(x)) for magnitudes t on the grid.
+def psi_quadrature(model: NonlinearModel, grid: Grid, t, squared: bool = False) -> float | ArrayF:
+    """Grid quadrature of F(x, t(x)) for t = |u| on the grid, or t = |u|^2 when squared.
 
     The last three axes of ``t`` are the grid's; a leading axis gives one
     value per entry along it.
     """
-    vals = _F_w(model, _grid_weight(model.weight, grid), t)
+    vals = _F_w(model, _grid_weight(model.weight, grid), t, squared)
     return grid.cell_volume * np.sum(vals, axis=(-3, -2, -1))
 
 
@@ -260,9 +261,7 @@ def psi(model: NonlinearModel, u: SpinorField) -> float:
     """Grid quadrature of F(x, |u(x)|), evaluated from |u|^2."""
     if model.kind == "null":
         return 0.0
-    grid = u.space.grid
-    vals = _F_w(model, _grid_weight(model.weight, grid), u.point_norm_sq(), squared=True)
-    return float(grid.cell_volume * np.sum(vals))
+    return float(psi_quadrature(model, u.space.grid, u.point_norm_sq(), squared=True))
 
 
 def psi_gradient(model: NonlinearModel, u: SpinorField) -> SpinorField:

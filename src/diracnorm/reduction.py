@@ -253,7 +253,7 @@ def inner_maximize(
         tol = 1e-9 * fiber.a
     guard = fiber.radius * (1.0 - _BALL_GUARD)
 
-    w, wn = w0, 0.0  # w None: the cold start w = 0
+    w, wn = w0, 0.0  # wn is e_norm(w) throughout; w None: the cold start w = 0
     if w is not None:
         wn = e_norm(w)
         if wn > guard:
@@ -278,6 +278,7 @@ def inner_maximize(
             wn = e_norm(w_try)
             if wn > guard:
                 w_try = w_try * (guard / wn)
+                wn = e_norm(w_try)
             grad_try, aux_try = fiber.gradient(w_try)
             gn_try = e_norm(grad_try)
             if gn_try <= tol or gn_try <= gnorm * (1.0 - 1e-3 * min(eta, 1.0)):
@@ -298,7 +299,6 @@ def inner_maximize(
         )
     if w is None:  # the cold start already met the tolerance
         w = SpinorField.zeros(fiber.space)
-    wn = e_norm(w)
     boundary_fraction = (wn + gnorm / CONCAVITY_MARGIN) / fiber.radius
     if boundary_fraction >= 0.999:
         raise SmallnessError(

@@ -89,8 +89,8 @@ class SolverOptions:
             raise FieldError("seed must be nonnegative", "seed")
         if not (0.0 < self.armijo_c < 1.0):
             raise FieldError("armijo_c must lie in (0, 1)", "armijo_c")
-        if self.a_max is not None and not self.a_max > 0:
-            raise FieldError("a_max must be positive when given", "a_max")
+        if self.a_max is not None and not 0 < self.a_max < np.inf:
+            raise FieldError("a_max must be positive and finite when given", "a_max")
         if not 0 <= self.deflation_strength < np.inf:
             raise FieldError("deflation_strength must be nonnegative and finite",
                              "deflation_strength")
@@ -235,6 +235,9 @@ class _QuasiNewton:
     pairs from the last 10 accepted steps are kept while their e-metric
     pairing stays safely positive.  Handles the handful of near-flat directions (phase and
     spin rotations of the minimizer) that no diagonal scaling can separate.
+    The model H is e-symmetric positive definite (kept pairs have positive
+    curvature, the scale is positive per mode) and the tangent projection is
+    e-self-adjoint, so a tangent gradient g gets the slope e_inner(H g, g) > 0.
     """
 
     def __init__(self, space: DiracSpace):
@@ -249,9 +252,6 @@ class _QuasiNewton:
             self.pairs.append((s, y, 1.0 / curv))
             if len(self.pairs) > 10:
                 self.pairs.pop(0)
-
-    def reset(self) -> None:
-        self.pairs.clear()
 
     def direction(self, state: ReducedState, grad: SpinorField) -> SpinorField:
         q = grad
@@ -269,16 +269,10 @@ class _QuasiNewton:
     def descent(
         self, state: ReducedState, grad: SpinorField, gnorm: float
     ) -> tuple[SpinorField, float]:
-        """Search direction, from the bare spectral scale if the model's does
-        not descend, and its Armijo threshold max(slope, gnorm^2), so that an
-        accepted decrease also certifies the plain-gradient Armijo law."""
+        """Search direction, of positive slope for a tangent grad, and its Armijo
+        threshold max(slope, gnorm^2), which also certifies the plain-gradient law."""
         direction = self.direction(state, grad)
-        slope = e_inner(direction, grad)
-        if not slope > 0:
-            self.reset()
-            direction = self.direction(state, grad)
-            slope = e_inner(direction, grad)
-        return direction, max(slope, gnorm * gnorm)
+        return direction, max(e_inner(direction, grad), gnorm * gnorm)
 
 
 def _build_record(
@@ -410,8 +404,8 @@ def minimize_on_sphere(
         state_try = None
         for backtrack in range(30):
             if backtrack == 8 and qn.pairs:
-                # curvature model mistrusted far from a minimizer
-                qn.reset()
+                # curvature model mistrusted far from a minimizer, or spoilt by rounding
+                qn.pairs.clear()
                 direction, threshold = qn.descent(state, grad, gnorm)
                 step = opts.step_init
             v_try = normalized(v - step * direction, a)

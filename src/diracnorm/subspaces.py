@@ -381,15 +381,12 @@ def _subspace_reports(
 
 @dataclass
 class LevelBoundResult:
-    """Minimax level bound of the reduced functional on one scaled subspace."""
+    """Minimax level bound on one scaled subspace, whose k, n, sup_quad and
+    inf_psi are in the report."""
 
-    k: int
-    n: float
     a: float
     analytic_bound: float
     direct_sup: float
-    sup_quad: float
-    inf_psi: float
     below_half_level: bool
     consistent: bool
     report: SubspaceReport
@@ -473,28 +470,12 @@ def level_bounds(
         direct = max(j_basis[:k] + [_reduced_on_sphere(model, plus_fields, c, a)
                                     for c in random_rows])
         results.append(LevelBoundResult(
-            k=k,
-            n=float(n),
             a=a,
             analytic_bound=float(analytic),
             direct_sup=float(direct),
-            sup_quad=report.sup_quad,
-            inf_psi=report.inf_psi,
             below_half_level=analytic < half,
             consistent=direct <= analytic + _CONSISTENCY_SLACK + 1e-12 * abs(analytic),
             report=report,
         ))
     return results
 
-
-def level_bound(
-    model: NonlinearModel,
-    k: int,
-    n: float,
-    a: float,
-    base_space: DiracSpace,
-    density: int = 64,
-    j_density: int = 8,
-) -> LevelBoundResult:
-    """The level_bounds result of the one dimension k."""
-    return level_bounds(model, [k], n, a, base_space, density, j_density)[0]

@@ -23,7 +23,7 @@ from diracnorm import (
     h_map,
     inner_maximize,
     l2_norm,
-    level_bound,
+    level_bounds,
     minimize_on_sphere,
     multi_start_deflated,
     null_model,
@@ -226,7 +226,7 @@ def test_c09_subspace_level_bounds(space):
             ratios.append(rep.ratio)
             if n >= 4.0:
                 assert rep.injective
-            bound = level_bound(tuned, k, n, a, space, density=16, j_density=4)
+            bound = level_bounds(tuned, [k], n, a, space, density=16, j_density=4)[0]
             assert bound.consistent
             if bound.analytic_bound < half:
                 crossed = True

@@ -585,9 +585,15 @@ def test_rejects_inadmissible_ladders_and_infinite_sizes(tmp_path, capsys, line)
     ("solve", "solver.step_init=inf"),
     ("solve", "solver.tol_grad=inf"),
     ("solve", "model.weight_amplitude=inf"),
+    ("solve", "solver.a_max=inf"),
+    ("check", "model.t0=inf"),
+    ("check", "model.cone_center=inf,0,0"),
+    ("check", "model.lower_const=inf"),
 ])
 def test_rejects_infinite_values_naming_the_key(tmp_path, capsys, command, line):
-    # unchecked, each would fail mid-run with exit 1 and a message naming no key
+    # unchecked, each would fail mid-run with exit 1 and a message naming no key, or
+    # pass unnoticed: an infinite a_max turns the smallness guard off, and an
+    # infinite cone center passes check and fails only in solve
     with pytest.raises(ConfigError) as info:
         parse_config(f"# c\n{line}\n")
     assert str(info.value).startswith(f"line 2: {line} violates")

@@ -9,6 +9,7 @@ from diracnorm import (
     SolverOptions,
     bifurcation_sweep,
     calibrate_a_max,
+    e_inner,
     e_norm,
     extract_solution,
     kappa,
@@ -25,6 +26,7 @@ from diracnorm.reduction import SmallnessError, evaluate_reduced, tangent_projec
 from diracnorm.solver import (
     DescentStallError,
     SolutionRecord,
+    _QuasiNewton,
     _family_groups,
     _penalty,
     _search_direction,
@@ -413,3 +415,29 @@ def test_deflated_direction_matches_the_lift_of_each_difference(seed, n_centers,
     want = tangent_project(v, extra)
     scale = np.max(np.abs(want.hat))
     assert np.max(np.abs(got.hat - want.hat)) <= 1e-12 * scale
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_pairs=st.integers(0, 10),
+    noise=st.floats(1e-3, 0.5),
+)
+def test_quasi_newton_directions_descend(seed, n_pairs, noise):
+    """The two-loop model is e-symmetric positive definite and the tangent
+    projection is e-self-adjoint, so the direction descent returns has a
+    positive slope against the tangent gradient, whatever pairs it holds."""
+    rng = np.random.default_rng(seed)
+    a = 0.1
+    v = random_field(SPACE12, rng, bandwidth=1.0, part="plus", target_l2=a)
+    state = evaluate_reduced(pure_power(2.5), v)
+    qn = _QuasiNewton(SPACE12)
+    for _ in range(n_pairs):
+        raw = random_field(SPACE12, rng, bandwidth=1.0, part="plus", target_l2=0.01 * a)
+        s = tangent_project(v, raw, state.riesz_v)
+        y = s + random_field(SPACE12, rng, bandwidth=1.0, part="plus",
+                             target_l2=noise * l2_norm(s))
+        qn.push(s, y)
+    grad = state.grad_tangent
+    direction, _ = qn.descent(state, grad, e_norm(grad))
+    assert e_inner(direction, grad) > 0

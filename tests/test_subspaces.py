@@ -19,7 +19,6 @@ from diracnorm import (
     hermite_function,
     l2_inner,
     l2_norm,
-    level_bound,
     level_bounds,
     mean_value,
     null_model,
@@ -227,8 +226,8 @@ def test_potential_floor_scaling_shape(desk_space):
 def test_level_bound_null_model_is_quadratic(desk_space):
     model = null_model()
     a = 0.1
-    res = level_bound(model, 1, 4.0, a, desk_space, density=2, j_density=2)
-    assert np.isclose(res.analytic_bound, 0.5 * a * a * (desk_space.mass + res.sup_quad))
+    res = level_bounds(model, [1], 4.0, a, desk_space, density=2, j_density=2)[0]
+    assert np.isclose(res.analytic_bound, 0.5 * a * a * (desk_space.mass + res.report.sup_quad))
     assert res.direct_sup <= res.analytic_bound + 1e-12
     assert np.isclose(res.direct_sup, res.analytic_bound, rtol=1e-9)
 
@@ -236,7 +235,7 @@ def test_level_bound_null_model_is_quadratic(desk_space):
 def test_level_bound_crosses_half_level(desk_space):
     model = pure_power(2.2)
     a = 0.1
-    res = level_bound(model, 1, 16.0, a, desk_space, density=8, j_density=4)
+    res = level_bounds(model, [1], 16.0, a, desk_space, density=8, j_density=4)[0]
     assert res.below_half_level
     assert res.consistent
     assert res.analytic_bound < 0.5 * desk_space.mass * a * a
@@ -246,7 +245,7 @@ def test_level_bound_decreases_along_ladder(desk_space):
     model = pure_power(2.2)
     a = 0.1
     bounds = [
-        level_bound(model, 1, n, a, desk_space, density=4, j_density=2).analytic_bound
+        level_bounds(model, [1], n, a, desk_space, density=4, j_density=2)[0].analytic_bound
         for n in (4.0, 8.0, 16.0)
     ]
     assert all(b < a_ for a_, b in zip(bounds, bounds[1:]))
@@ -298,10 +297,10 @@ def test_subspace_bounds_run_without_scipy():
     code = (
         "import sys\n"
         "sys.modules['scipy'] = None\n"
-        "from diracnorm import DiracSpace, Grid, level_bound, pure_power, subspace_ratio\n"
+        "from diracnorm import DiracSpace, Grid, level_bounds, pure_power, subspace_ratio\n"
         "space = DiracSpace(Grid(12, 12.0), 1.0)\n"
         "subspace_ratio(pure_power(2.2), 3, 4.0, space, density=2)\n"
-        "level_bound(pure_power(2.2), 3, 4.0, 0.1, space, density=2, j_density=3)\n"
+        "level_bounds(pure_power(2.2), [3], 4.0, 0.1, space, density=2, j_density=3)[0]\n"
     )
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
     run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
@@ -314,13 +313,13 @@ def test_level_bounds_match_standalone_level_bounds():
     model = pure_power(2.2)
     shared = level_bounds(model, [1, 2, 3], 4.0, 0.1, base, density=4)
     for k, got in zip([1, 2, 3], shared):
-        alone = level_bound(model, k, 4.0, 0.1, base, density=4)
-        assert (got.k, got.n) == (k, 4.0)
+        alone = level_bounds(model, [k], 4.0, 0.1, base, density=4)[0]
+        assert (got.report.k, got.report.n) == (k, 4.0)
         assert got.direct_sup.hex() == alone.direct_sup.hex()
         assert got.consistent == alone.consistent
         for name in ("sup_quad", "gram_min_eig", "injective", "mass_capture", "warnings"):
             assert getattr(got.report, name) == getattr(alone.report, name), name
-        assert abs(got.inf_psi - alone.inf_psi) <= 1e-13 * alone.inf_psi
+        assert abs(got.report.inf_psi - alone.report.inf_psi) <= 1e-13 * alone.report.inf_psi
 
 
 def test_cmd_subspace_evaluates_each_distinct_sphere_point_once(tmp_path, monkeypatch):
