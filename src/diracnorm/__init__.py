@@ -46,12 +46,12 @@ from .spectral_core import (
     BETA,
     SIGMA,
     DiracSpace,
-    DiracSymbol,
     FieldError,
     Grid,
     SpectralSplit,
     SpinorField,
     apply_h0,
+    band_energy,
     dirac_symbol_at,
     e_inner,
     e_norm,

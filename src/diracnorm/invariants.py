@@ -25,6 +25,7 @@ from .reduction import (
 from .spectral_core import (
     DiracSpace,
     SpinorField,
+    band_energy,
     dirac_symbol_at,
     e_inner,
     e_norm,
@@ -72,15 +73,6 @@ class SampledCheck:
         return out
 
 
-@dataclass
-class CheckReport:
-    checks: list[SampledCheck]
-
-    @property
-    def all_passed(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-
 def _growth_check(name, description, margins, scale, tight, points) -> SampledCheck:
     """Worst of sampled growth margins, bounded below at rounding level of scale;
     a failure keeps the worst sample's point and magnitude as the witness."""
@@ -93,7 +85,8 @@ def _growth_check(name, description, margins, scale, tight, points) -> SampledCh
     return check
 
 
-def check_growth(model: NonlinearModel, sample_count: int = 10000, seed: int = 7) -> CheckReport:
+def check_growth(model: NonlinearModel, sample_count: int = 10000,
+                 seed: int = 7) -> list[SampledCheck]:
     """Sample-verify the growth inequalities implied by (f1)-(f5) at x in [-8, 8]^3.
 
     Checks, with worst-case margins over random (x, t) and scaling factors:
@@ -103,7 +96,7 @@ def check_growth(model: NonlinearModel, sample_count: int = 10000, seed: int = 7
         (reversed on 0 < s <= 1);
       * one-point form    r(x) s^p / q <= F(x,s) <= r(x) s^q / p for s >= 1
         (reversed exponents on 0 < s <= 1), with r(x) = f(x, 1);
-      * upper envelope    F <= C (t^p + t^q) with C = sup r / p;
+      * upper envelope    F <= C (t^p + t^q) with C = sup r * (number of terms) / p;
       * cone lower bound  F >= L |x|^(-tau) t^alpha on the solid cone, t <= t0.
     """
     if model.kind == "null":
@@ -133,7 +126,7 @@ def check_growth(model: NonlinearModel, sample_count: int = 10000, seed: int = 7
     r_of_x = f_value(model, x, 1.0)
     F_s_up = F_value(model, x, s_up)
     F_s_dn = F_value(model, x, s_dn)
-    c_up = model.weight.amplitude * (2.0 if model.kind == "two_power" else 1.0) / p
+    c_up = model.weight.amplitude * len(model.powers) / p
     F_cone = F_value(model, x_cone, t_small)
     lower = (
         model.lower_const_effective
@@ -141,7 +134,7 @@ def check_growth(model: NonlinearModel, sample_count: int = 10000, seed: int = 7
         * t_small**model.growth_alpha
     )
 
-    pinch, scaling, xt = model.kind == "pure_power", p == q, (x, t)
+    pinch, scaling, xt = len(model.powers) == 1, p == q, (x, t)
     scale, scale_F = float(np.max(fp * t)), float(np.max(F))
     sc_up, sc_dn = float(np.max(F_up)), float(np.max(F_dn))
     sc_one_up, sc_one_dn = float(np.max(F_s_up)), float(np.max(F_s_dn))
@@ -167,11 +160,11 @@ def check_growth(model: NonlinearModel, sample_count: int = 10000, seed: int = 7
         ("cone-lower-bound", "F >= L |x|^(-tau) t^alpha on the cone, t <= t0",
          F_cone - lower, float(np.max(F_cone)), False, (x_cone, t_small)),
     ]
-    checks = [_growth_check(*row) for row in table]
-    return CheckReport(checks)
+    return [_growth_check(*row) for row in table]
 
 
-def check_all(model: NonlinearModel, space: DiracSpace, a: float, seed: int) -> CheckReport:
+def check_all(model: NonlinearModel, space: DiracSpace, a: float,
+              seed: int) -> list[SampledCheck]:
     """Every suite, the field suites at mass a.
 
     The five field suites draw, in this order, from one generator seeded with
@@ -184,9 +177,9 @@ def check_all(model: NonlinearModel, space: DiracSpace, a: float, seed: int) -> 
     idx = rng.integers(0, space.grid.n_per_axis, size=(200, 3))
     worst = 0.0
     for row in space.grid.freq_axis[idx]:
-        p_plus, p_minus = spectral_projectors(row, space.symbol)
-        sym = dirac_symbol_at(row, space.symbol)
-        lam = space.symbol.band_energy(row)
+        p_plus, p_minus = spectral_projectors(row, space.mass)
+        sym = dirac_symbol_at(row, space.mass)
+        lam = band_energy(row, space.mass)
         worst = max(
             worst,
             float(np.max(np.abs(p_plus @ p_plus - p_plus))),
@@ -206,7 +199,7 @@ def check_all(model: NonlinearModel, space: DiracSpace, a: float, seed: int) -> 
                                min(margins), -1e-10))
 
     if model.kind != "null":
-        checks += check_growth(model, sample_count=10000, seed=seed).checks
+        checks += check_growth(model, sample_count=10000, seed=seed)
 
     second = []
     for _ in range(5):
@@ -248,4 +241,4 @@ def check_all(model: NonlinearModel, space: DiracSpace, a: float, seed: int) -> 
     checks.append(SampledCheck("gradient-consistency",
                                "reduced gradient = central difference along the sphere",
                                len(errs), -max(errs), -1e-4))
-    return CheckReport(checks)
+    return checks

@@ -15,10 +15,11 @@ so that rejections are traceable to the violated condition.
        y in B_d(x0)} for 0 <= t <= t0, with alpha in (0, 8/3) and
        tau in (0, (8 - 3 alpha)/2).
 
-Built-in kinds: ``pure_power`` (f = r(x) t^(p-2)), ``two_power``
-(f = r(x) (t^(p-2) + t^(q-2))) and the diagnostic ``null`` model (f = F = 0).
-The null model deliberately violates (f2); it exists to provide exactly
-solvable linear baselines.
+A model is its power terms (``NonlinearModel.powers``): f = r(x) sum_e t^(e-2)
+and F = r(x) sum_e t^e / e over the exponents e.  Built-in kinds:
+``pure_power`` (the one term p), ``two_power`` (the terms p and q) and the
+diagnostic ``null`` model (no terms, f = F = 0).  The null model deliberately
+violates (f2); it exists to provide exactly solvable linear baselines.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from functools import lru_cache
 import numpy as np
 from numpy.typing import NDArray
 
-from .spectral_core import FieldError, Grid, SpinorField, l2_inner
+from .spectral_core import FieldError, Grid, SpinorField
 
 ArrayF = NDArray[np.float64]
 
@@ -92,12 +93,14 @@ class NonlinearModel:
         if len(self.cone_center) != 3 or not np.all(np.isfinite(self.cone_center)):
             raise FieldError("the cone center must have three components, each finite",
                              "cone_center")
-        if self.kind == "null":
-            return
+        # checked for the null model too: the X_a cap reads p and the level
+        # bounds read q whatever the kind
         if not (2.0 < self.p <= self.q < 3.0):
             raise FieldError(
                 f"(f3) requires 2 < p <= q < 3 (got p={self.p}, q={self.q})", "p", "q"
             )
+        if self.kind == "null":
+            return
         if not (0.0 < self.growth_alpha < 8.0 / 3.0):
             raise FieldError(
                 f"(f5) requires alpha in (0, 8/3) (got alpha={self.growth_alpha})",
@@ -148,21 +151,24 @@ class NonlinearModel:
         )
 
     @property
+    def powers(self) -> tuple[float, ...]:
+        """The exponents e of the terms r(x) t^e / e that sum to F."""
+        return {"pure_power": (self.p,), "two_power": (self.p, self.q), "null": ()}[self.kind]
+
+    @property
     def lower_const_effective(self) -> float:
         """Cone-bound constant L; derived from the weight when unset.
 
         For the inverse-poly weight with decay <= tau, on |x| >= 1 one has
-        r(x) >= r0 * 2^(-tau/2) |x|^(-tau); dividing by p (and by 2 for the
-        two_power split) gives a valid L for alpha >= p and t <= min(t0, 1).
+        r(x) >= r0 * 2^(-tau/2) |x|^(-tau); dividing by p times the number of
+        power terms gives a valid L for alpha >= p and t <= min(t0, 1).  The
+        null model, with no terms, has L = 0.
         """
         if self.lower_const is not None:
             return self.lower_const
-        if self.kind == "null":
+        if not self.powers:
             return 0.0
-        base = self.weight.amplitude * 2.0 ** (-self.tau / 2.0) / self.p
-        if self.kind == "two_power":
-            base *= 0.5
-        return base
+        return self.weight.amplitude * 2.0 ** (-self.tau / 2.0) / (self.p * len(self.powers))
 
 
 def pure_power(p: float = 2.5, **kwargs) -> NonlinearModel:
@@ -172,7 +178,7 @@ def pure_power(p: float = 2.5, **kwargs) -> NonlinearModel:
 
 
 def two_power(p: float, q: float, **kwargs) -> NonlinearModel:
-    kwargs.setdefault("growth_alpha", max(p, kwargs.get("growth_alpha", p)))
+    kwargs.setdefault("growth_alpha", p)
     return NonlinearModel(kind="two_power", p=p, q=q, **kwargs)
 
 
@@ -201,24 +207,24 @@ def _magnitude(t, squared: bool) -> tuple[ArrayF, float]:
     return (np.asarray(t, dtype=float), 0.5) if squared else (_check_t(t), 1.0)
 
 
+def _power_sum(w, t, terms: list) -> ArrayF:
+    """Sum of the per-term arrays, started from the first; zeros of the shape
+    of w * t when the model has no terms."""
+    if not terms:
+        return np.zeros(np.broadcast_shapes(np.shape(w), np.shape(t)))
+    return sum(terms[1:], terms[0])
+
+
 def _f_w(model: NonlinearModel, w, t, squared: bool = False) -> ArrayF:
     """f from the weight values w = r(x) and t = |u|, or t = |u|^2 when squared."""
     t, k = _magnitude(t, squared)
-    if model.kind == "null":
-        return np.zeros(np.broadcast_shapes(np.shape(w), t.shape))
-    if model.kind == "pure_power":
-        return w * t ** (k * (model.p - 2.0))
-    return w * (t ** (k * (model.p - 2.0)) + t ** (k * (model.q - 2.0)))
+    return _power_sum(w, t, [w * t ** (k * (e - 2.0)) for e in model.powers])
 
 
 def _F_w(model: NonlinearModel, w, t, squared: bool = False) -> ArrayF:
     """F from the weight values and |u| (or |u|^2 when squared), as _f_w."""
     t, k = _magnitude(t, squared)
-    if model.kind == "null":
-        return np.zeros(np.broadcast_shapes(np.shape(w), t.shape))
-    if model.kind == "pure_power":
-        return w * t ** (k * model.p) / model.p
-    return w * (t ** (k * model.p) / model.p + t ** (k * model.q) / model.q)
+    return _power_sum(w, t, [w * t ** (k * e) / e for e in model.powers])
 
 
 def f_value(model: NonlinearModel, x, t) -> ArrayF:
@@ -235,16 +241,9 @@ def f_prime(model: NonlinearModel, x, t) -> ArrayF:
     """Partial derivative of f in t; defined for t > 0."""
     w = model.weight.value_at(x)
     t = np.asarray(t, dtype=float)
-    if model.kind == "null":
-        return np.zeros(np.broadcast_shapes(np.shape(w), t.shape))
-    if np.any(t <= 0):
+    if model.powers and np.any(t <= 0):
         raise ValueError("f_prime requires t > 0")
-    if model.kind == "pure_power":
-        return w * (model.p - 2.0) * t ** (model.p - 3.0)
-    return w * (
-        (model.p - 2.0) * t ** (model.p - 3.0)
-        + (model.q - 2.0) * t ** (model.q - 3.0)
-    )
+    return _power_sum(w, t, [w * (e - 2.0) * t ** (e - 3.0) for e in model.powers])
 
 
 def psi_quadrature(model: NonlinearModel, grid: Grid, t, squared: bool = False) -> float | ArrayF:
@@ -272,8 +271,3 @@ def psi_gradient(model: NonlinearModel, u: SpinorField) -> SpinorField:
     grid = u.space.grid
     fvals = _f_w(model, _grid_weight(model.weight, grid), u.point_norm_sq(), squared=True)
     return SpinorField(u.space, fvals[None, :, :, :] * u.values)
-
-
-def psi_pairing(model: NonlinearModel, u: SpinorField, z: SpinorField) -> float:
-    """Directional derivative of psi at u along z."""
-    return l2_inner(psi_gradient(model, u), z)

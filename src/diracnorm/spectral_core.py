@@ -72,45 +72,31 @@ class FieldError(ValueError):
         self.fields = fields
 
 
-@dataclass(frozen=True)
-class DiracSymbol:
-    """Mass of the first-order symbol alpha.xi + m beta (matrices ALPHA, BETA).
-
-    ``mass == 0`` is allowed for pointwise symbol evaluation; the spectral
-    splitting itself requires a positive mass (see :class:`DiracSpace`).
-    """
-
-    mass: float
-
-    def __post_init__(self) -> None:
-        if self.mass < 0:
-            raise FieldError(f"mass must be nonnegative, got {self.mass}", "mass")
-
-    def band_energy(self, xi) -> float:
-        """lambda(xi) = sqrt(|xi|^2 + m^2)."""
-        xi = np.asarray(xi, dtype=float)
-        return float(np.sqrt(xi @ xi + self.mass**2))
-
-
-def dirac_symbol_at(xi, sym: DiracSymbol) -> ArrayC:
-    """Hermitian 4x4 symbol alpha.xi + m beta at one frequency."""
+def band_energy(xi, mass: float) -> float:
+    """lambda(xi) = sqrt(|xi|^2 + m^2)."""
     xi = np.asarray(xi, dtype=float)
-    mat = sym.mass * BETA.copy()
+    return float(np.sqrt(xi @ xi + mass**2))
+
+
+def dirac_symbol_at(xi, mass: float) -> ArrayC:
+    """Hermitian 4x4 symbol alpha.xi + m beta at one frequency; m = 0 is allowed."""
+    xi = np.asarray(xi, dtype=float)
+    mat = mass * BETA.copy()
     for k in range(3):
         mat += xi[k] * ALPHA[k]
     return mat
 
 
-def spectral_projectors(xi, sym: DiracSymbol) -> tuple[ArrayC, ArrayC]:
+def spectral_projectors(xi, mass: float) -> tuple[ArrayC, ArrayC]:
     """Projectors onto the +-lambda(xi) eigenspaces of the symbol.
 
     Branch-free closed form P_pm = (I +- symbol/lambda)/2; requires m > 0 so
     that lambda(xi) >= m > 0 and no frequency is singular.
     """
-    if not sym.mass > 0:
+    if not mass > 0:
         raise ValueError("spectral projectors require mass > 0")
-    mat = dirac_symbol_at(xi, sym)
-    lam = sym.band_energy(xi)
+    mat = dirac_symbol_at(xi, mass)
+    lam = band_energy(xi, mass)
     eye = np.eye(4, dtype=np.complex128)
     p_plus = 0.5 * (eye + mat / lam)
     p_minus = 0.5 * (eye - mat / lam)
@@ -147,10 +133,6 @@ class Grid:
     def cell_volume(self) -> float:
         return self.spacing**3
 
-    @property
-    def volume(self) -> float:
-        return self.box_length**3
-
     @cached_property
     def axis_coords(self) -> ArrayF:
         n = self.n_per_axis
@@ -185,7 +167,6 @@ class DiracSpace:
             raise ValueError("DiracSpace requires mass > 0")
         self.grid = grid
         self.mass = float(mass)
-        self.symbol = DiracSymbol(self.mass)
         k = grid.freq_axis
         kx, ky, self._kz = k[:, None, None], k[None, :, None], k[None, None, :]
         self._k_plus, self._k_minus = kx + 1j * ky, kx - 1j * ky
@@ -304,10 +285,6 @@ class SpinorField:
             self._norm_sq.setflags(write=False)
         return self._norm_sq
 
-    def point_norm(self) -> ArrayF:
-        """Pointwise C^4 norm |u(x)| on the grid."""
-        return np.sqrt(self.point_norm_sq())
-
     def __add__(self, other: "SpinorField") -> "SpinorField":
         return SpinorField.from_hat(self.space, self.hat + other.hat)
 
@@ -329,9 +306,6 @@ class SpectralSplit:
 
     plus: SpinorField
     minus: SpinorField
-
-    def reassemble(self) -> SpinorField:
-        return self.plus + self.minus
 
 
 def _real_dot(a: ArrayC, b: ArrayC) -> float:
@@ -444,7 +418,7 @@ def plane_wave(space: DiracSpace, mode_index, chi) -> SpinorField:
 def eigen_spinor(space: DiracSpace, mode_index, branch: str = "plus") -> ArrayC:
     """Unit spinor spanning the requested eigenspace of the symbol at a mode."""
     xi = (2.0 * np.pi / space.grid.box_length) * np.asarray(mode_index, float)
-    p_plus, p_minus = spectral_projectors(xi, space.symbol)
+    p_plus, p_minus = spectral_projectors(xi, space.mass)
     proj = p_plus if branch == "plus" else p_minus
     col = proj[:, int(np.argmax(np.real(np.diag(proj))))]
     return col / np.linalg.norm(col)

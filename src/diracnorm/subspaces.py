@@ -33,10 +33,9 @@ from .spectral_core import (
     apply_h0,
     e_inner,
     e_norm,
-    eigen_spinor,
+    eigenmode,
     l2_inner,
     l2_norm,
-    plane_wave,
     split,
 )
 
@@ -143,9 +142,7 @@ def periodic_solution_phi(space: DiracSpace, lam: float) -> SpinorField:
     # the smallest |xi|^2 among the hits; ties go to the first index in C order
     best = hits[np.argmin(ksq[tuple(hits.T)])]
     mode = [int(i) if i < n // 2 else int(i) - n for i in best]
-    branch = "plus" if lam > 0 else "minus"
-    chi = eigen_spinor(space, mode, branch)
-    return plane_wave(space, mode, chi)
+    return eigenmode(space, mode, "plus" if lam > 0 else "minus")
 
 
 def mean_value(g, box_sizes) -> float:

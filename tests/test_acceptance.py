@@ -95,10 +95,10 @@ def test_c02_norm_domination(space):
 def test_c03_growth_suite():
     for label, mdl in (("pure_power", pure_power(2.5)), ("two_power", two_power(2.2, 2.8))):
         report = check_growth(mdl, sample_count=10000, seed=21)
-        for c in report.checks:
+        for c in report:
             assert c.worst_margin >= -1e-12 * max(c.scale, 1.0), f"{label}:{c.name}"
         if label == "pure_power":
-            by_name = {c.name: c for c in report.checks}
+            by_name = {c.name: c for c in report}
             for name in ("scaling-up-lower", "scaling-up-upper"):
                 c = by_name[name]
                 assert abs(c.worst_margin) <= 1e-13 * max(c.scale, 1.0)

@@ -408,6 +408,19 @@ def test_rejects_the_bump_weight_form(tmp_path, capsys):
     assert "config error: line 2: model.weight_form=bump violates" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command,line", [
+    ("solve", "model.p=nan"),
+    ("subspace", "model.q=nan"),
+    ("solve", "model.p=1.5"),
+])
+def test_the_null_model_checks_its_p_and_q(tmp_path, capsys, command, line):
+    """The null model has no power terms, yet the X_a cap reads p and the
+    level bounds read q, so (f3) holds for it too."""
+    cfg = _write(tmp_path, f"model.kind=null\n{line}\n")
+    assert main([command, "--config", cfg, "--output", str(tmp_path / "out"), "--quiet"]) == 2
+    assert f"config error: line 2: {line} violates" in capsys.readouterr().err
+
+
 def test_rejection_cites_every_involved_line():
     with pytest.raises(ConfigError) as info:
         parse_config("model.p=2.6\nsolve.a=0.1\nmodel.q=2.55\n")

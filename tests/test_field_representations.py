@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from diracnorm import DiracSpace, DiracSymbol, Grid, dirac_symbol_at, l2_inner, l2_norm
+from diracnorm import DiracSpace, Grid, dirac_symbol_at, l2_inner, l2_norm
 from diracnorm.nonlinearity import pure_power
 from diracnorm.reduction import _Fiber, inner_maximize
 from diracnorm.spectral_core import SpinorField, gaussian_spinor, random_field, split
@@ -49,7 +49,7 @@ def test_closed_form_symbol_matches_pointwise_matrix(n, box, mass, seed):
     space = DiracSpace(Grid(n, box), mass)
     hat = _random_values(space, seed)
     got = space.apply_symbol_hat(hat)
-    sym = DiracSymbol(mass)
+    sym = mass
     k = space.grid.freq_axis
     for i, j, l in np.ndindex(n, n, n):
         mat = dirac_symbol_at((k[i], k[j], k[l]), sym)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from diracnorm import (
     F_value,
@@ -9,6 +11,7 @@ from diracnorm import (
     check_growth,
     f_prime,
     f_value,
+    l2_inner,
     l2_norm,
     null_model,
     psi,
@@ -16,7 +19,6 @@ from diracnorm import (
     pure_power,
     two_power,
 )
-from diracnorm.nonlinearity import psi_pairing
 from diracnorm.spectral_core import DiracSpace, Grid, SpinorField, constant_field, random_field
 
 FLAT = WeightSpec(amplitude=1.0, decay_rate=0.0)
@@ -91,7 +93,7 @@ def test_psi_constant_unit_modulus():
     space = DiracSpace(Grid(8, 5.0), 1.0)
     model = pure_power(2.5, weight=WeightSpec(amplitude=0.7, decay_rate=0.0))
     u = constant_field(space, (1, 0, 0, 0))
-    expected = 0.7 * space.grid.volume / 2.5
+    expected = 0.7 * space.grid.box_length**3 / 2.5
     assert np.isclose(psi(model, u), expected, rtol=1e-13)
 
 
@@ -127,7 +129,7 @@ def test_psi_gradient_matches_finite_difference(space12, rng):
     z = random_field(space12, rng, bandwidth=2.0, target_l2=0.5)
     eps = 1e-5
     fd = (psi(model, u + eps * z) - psi(model, u - eps * z)) / (2 * eps)
-    assert np.isclose(psi_pairing(model, u, z), fd, rtol=1e-6)
+    assert np.isclose(l2_inner(psi_gradient(model, u), z), fd, rtol=1e-6)
 
 
 @pytest.mark.parametrize("model", [pure_power(2.5), two_power(2.2, 2.8)], ids=lambda m: m.kind)
@@ -155,8 +157,8 @@ def test_null_model_is_inert(space12, rng):
 
 def test_growth_report_pure_power_tight():
     report = check_growth(pure_power(2.5), sample_count=4000, seed=3)
-    assert report.all_passed
-    by_name = {c.name: c for c in report.checks}
+    assert all(c.passed for c in report)
+    by_name = {c.name: c for c in report}
     scale = by_name["derivative-pinch-lower"].scale
     assert abs(by_name["derivative-pinch-lower"].worst_margin) < 1e-12 * scale
     assert abs(by_name["derivative-pinch-upper"].worst_margin) < 1e-12 * scale
@@ -164,8 +166,8 @@ def test_growth_report_pure_power_tight():
 
 def test_growth_report_two_power_strict():
     report = check_growth(two_power(2.2, 2.8), sample_count=4000, seed=3)
-    assert report.all_passed
-    by_name = {c.name: c for c in report.checks}
+    assert all(c.passed for c in report)
+    by_name = {c.name: c for c in report}
     assert by_name["derivative-pinch-lower"].worst_margin > 0
     assert by_name["derivative-pinch-upper"].worst_margin > 0
 
@@ -175,7 +177,7 @@ def test_growth_cone_bound_inverse_poly():
     # derived constant: r0 * 2^(-tau/2) / p
     assert np.isclose(model.lower_const_effective, 1.0 * 2 ** (-0.1) / 2.5)
     report = check_growth(model, sample_count=20000, seed=11)
-    cone = [c for c in report.checks if c.name == "cone-lower-bound"][0]
+    cone = [c for c in report if c.name == "cone-lower-bound"][0]
     assert cone.passed
 
 
@@ -216,3 +218,47 @@ def test_cone_center_needs_three_components():
     for kind in ("pure_power", "null"):
         with pytest.raises(ValueError, match="three components"):
             NonlinearModel(kind=kind, cone_center=(3.0, 0.0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    kind=st.sampled_from(["pure_power", "two_power", "null"]),
+    p=st.floats(2.01, 2.6),
+    dq=st.floats(0.0, 1.0),
+    decay=st.floats(0.0, 1.0),
+    amplitude=st.floats(0.1, 10.0),
+    x=st.tuples(*[st.floats(-8.0, 8.0)] * 3),
+    log_t=st.floats(np.log(1e-3), np.log(1e2)),
+)
+def test_f_and_F_are_sums_over_the_power_terms(kind, p, dq, decay, amplitude, x, log_t):
+    """f, F and f' are r(x) times a sum over model.powers, one term per
+    exponent; the null model has none."""
+    q = p + dq * (2.99 - p)
+    tau = (8.0 - 3.0 * p) / 4.0
+    model = NonlinearModel(kind=kind, p=p, q=q, growth_alpha=p, tau=tau,
+                           weight=WeightSpec(amplitude=amplitude, decay_rate=decay * tau))
+    assert len(model.powers) == {"pure_power": 1, "two_power": 2, "null": 0}[kind]
+    t = float(np.exp(log_t))
+    r = float(model.weight.value_at(x))
+    for got, want in (
+        (F_value(model, x, t), sum(r * t**e / e for e in model.powers)),
+        (f_value(model, x, t), sum(r * t ** (e - 2.0) for e in model.powers)),
+        (f_prime(model, x, t) * t, sum((e - 2.0) * r * t ** (e - 2.0) for e in model.powers)),
+    ):
+        assert abs(got - want) <= 1e-14 * abs(want)
+    want_l = amplitude * 2.0 ** (-tau / 2.0) / (p * len(model.powers)) if model.powers else 0.0
+    assert model.lower_const_effective == want_l
+
+
+@settings(max_examples=10, deadline=None)
+@given(p=st.floats(2.01, 2.5), seed=st.integers(0, 2**32 - 1))
+def test_pure_power_psi_keeps_its_operation_order(space12, p, seed):
+    """psi and psi_gradient of a pure power are, bit for bit, the quadrature
+    of w s^(p/2) / p and the field w s^((p-2)/2) u, with s = |u|^2."""
+    model = pure_power(p)
+    u = random_field(space12, np.random.default_rng(seed), bandwidth=2.0)
+    w = model.weight.value_r2(space12.grid.radius_sq)
+    s = u.point_norm_sq()
+    want = space12.grid.cell_volume * np.sum(w * s ** (p / 2) / p)
+    assert psi(model, u).hex() == float(want).hex()
+    assert np.array_equal(psi_gradient(model, u).values, (w * s ** ((p - 2) / 2))[None] * u.values)

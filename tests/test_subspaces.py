@@ -82,7 +82,7 @@ def test_periodic_eigenfield_at_band_edge(space12):
     phi = periodic_solution_phi(space12, space12.mass)
     assert np.max(np.abs(phi.values[0] - 1.0)) < 1e-14
     assert np.max(np.abs(phi.values[1:])) < 1e-14
-    assert np.max(np.abs(phi.point_norm() - 1.0)) < 1e-13
+    assert np.max(np.abs(np.sqrt(phi.point_norm_sq()) - 1.0)) < 1e-13
     out = apply_h0(phi)
     assert l2_norm(out - space12.mass * phi) < 1e-12
 
@@ -91,7 +91,7 @@ def test_periodic_eigenfield_on_lattice(space12):
     lam = np.sqrt(1.0 + (2 * np.pi / 12.0) ** 2)
     phi = periodic_solution_phi(space12, lam)
     assert l2_norm(apply_h0(phi) - lam * phi) < 1e-12 * l2_norm(phi)
-    assert np.max(np.abs(phi.point_norm() - 1.0)) < 1e-12
+    assert np.max(np.abs(np.sqrt(phi.point_norm_sq()) - 1.0)) < 1e-12
 
 
 def test_periodic_eigenfield_unattainable(space12):
