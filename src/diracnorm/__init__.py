@@ -63,7 +63,6 @@ from .spectral_core import (
     split,
 )
 from .subspaces import (
-    HermiteBasis,
     LevelBoundResult,
     SubspaceReport,
     hermite_function,

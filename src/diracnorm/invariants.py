@@ -9,6 +9,7 @@ reduced-gradient identity behind the outer descent.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -163,6 +164,20 @@ def check_growth(model: NonlinearModel, sample_count: int = 10000,
     return [_growth_check(*row) for row in table]
 
 
+def concavity_samples(model: NonlinearModel, space: DiracSpace, a: float,
+                      rng: np.random.Generator, count: int, fraction: float) -> Iterator[float]:
+    """Second differences of the fiber energy (sample_concavity) at ``count``
+    random draws, each a plus field v of mass a, a minus point w at
+    ``fraction`` of the minus-ball radius and a minus direction z, drawn from
+    rng in that order."""
+    for _ in range(count):
+        v = random_field(space, rng, bandwidth=1.0, part="plus", target_l2=a)
+        w = random_field(space, rng, bandwidth=1.0, part="minus")
+        w = w * (fraction * minus_ball_radius(space, a) / e_norm(w))
+        z = random_field(space, rng, bandwidth=1.0, part="minus")
+        yield sample_concavity(model, v, w, z)
+
+
 def check_all(model: NonlinearModel, space: DiracSpace, a: float,
               seed: int) -> list[SampledCheck]:
     """Every suite, the field suites at mass a.
@@ -201,13 +216,7 @@ def check_all(model: NonlinearModel, space: DiracSpace, a: float,
     if model.kind != "null":
         checks += check_growth(model, sample_count=10000, seed=seed)
 
-    second = []
-    for _ in range(5):
-        v = random_field(space, rng, bandwidth=1.0, part="plus", target_l2=a)
-        w = random_field(space, rng, bandwidth=1.0, part="minus")
-        w = w * (0.3 * minus_ball_radius(space, a) / e_norm(w))
-        z = random_field(space, rng, bandwidth=1.0, part="minus")
-        second.append(sample_concavity(model, v, w, z))
+    second = list(concavity_samples(model, space, a, rng, 5, 0.3))
     checks.append(SampledCheck("inner-concavity",
                                "fiber energy second difference <= -1/4 per e_norm^2",
                                len(second), -max(second), 0.25 - 1e-3))

@@ -19,6 +19,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .invariants import concavity_samples
 from .nonlinearity import NonlinearModel
 from .reduction import (
     CONCAVITY_MARGIN,
@@ -26,8 +27,6 @@ from .reduction import (
     SmallnessError,
     attach_gradient,
     evaluate_reduced,
-    minus_ball_radius,
-    sample_concavity,
     tangent_project,
 )
 from .spectral_core import (
@@ -47,7 +46,7 @@ from .spectral_core import (
     riesz_plus,
     split,
 )
-from .subspaces import HermiteBasis, _plus_basis
+from .subspaces import _plus_basis
 
 
 class DescentStallError(RuntimeError):
@@ -116,7 +115,6 @@ class SolutionRecord:
     omega_gap_const: float | None = None
     omega_coarse: float | None = None
     v_star: SpinorField | None = field(default=None, repr=False)
-    w_star: SpinorField | None = field(default=None, repr=False)
     history: list[float] = field(default_factory=list, repr=False)
     stall_reason: str | None = None
     failed_criteria: list[str] = field(default_factory=list)
@@ -136,28 +134,20 @@ def default_initial_guess(space: DiracSpace, model: NonlinearModel, a: float) ->
     return normalized(split(gaussian_spinor(space, model.cone_center, 2.0)).plus, a)
 
 
-def calibrate_a_max(model: NonlinearModel, space: DiracSpace, seed: int = 20240) -> float:
+def calibrate_a_max(model: NonlinearModel, space: DiracSpace, seed: int) -> float:
     """Largest validated mass in (0, 0.5]: bisect, 12 rounds, on the sampled
     inner concavity margin.
 
     A mass passes when second differences of the fiber energy along random
     minus directions stay below -CONCAVITY_MARGIN = -1/8 (in units of
-    e_norm^2) at 4 random interior points.  Deterministic for a fixed seed.
+    e_norm^2) at 4 random points halfway to the minus-ball boundary, drawn
+    by the sampler of the check's inner-concavity suite
+    (invariants.concavity_samples).  Deterministic for a fixed seed.
     """
 
     def _ok(a: float) -> bool:
-        rng = np.random.default_rng(seed)
-        for _ in range(4):
-            v = random_field(space, rng, bandwidth=1.0, part="plus", target_l2=a)
-            if not in_plus_cone(v):
-                continue
-            radius = minus_ball_radius(space, a)
-            w = random_field(space, rng, bandwidth=1.0, part="minus")
-            w = w * (0.5 * radius / e_norm(w))
-            z = random_field(space, rng, bandwidth=1.0, part="minus")
-            if sample_concavity(model, v, w, z) > -CONCAVITY_MARGIN:
-                return False
-        return True
+        samples = concavity_samples(model, space, a, np.random.default_rng(seed), 4, 0.5)
+        return all(s <= -CONCAVITY_MARGIN for s in samples)
 
     lo, hi = 0.0, 0.5
     if _ok(hi):
@@ -253,7 +243,11 @@ class _QuasiNewton:
             if len(self.pairs) > 10:
                 self.pairs.pop(0)
 
-    def direction(self, state: ReducedState, grad: SpinorField) -> SpinorField:
+    def descent(
+        self, state: ReducedState, grad: SpinorField, gnorm: float
+    ) -> tuple[SpinorField, float]:
+        """Search direction, of positive slope for a tangent grad, and its Armijo
+        threshold max(slope, gnorm^2), which also certifies the plain-gradient law."""
         q = grad
         alphas: list[float] = []
         for s, y, rho in reversed(self.pairs):
@@ -264,14 +258,7 @@ class _QuasiNewton:
         for (s, y, rho), alpha in zip(self.pairs, reversed(alphas)):
             beta = rho * e_inner(y, q)
             q = q + (alpha - beta) * s
-        return tangent_project(state.v, q, state.riesz_v)
-
-    def descent(
-        self, state: ReducedState, grad: SpinorField, gnorm: float
-    ) -> tuple[SpinorField, float]:
-        """Search direction, of positive slope for a tangent grad, and its Armijo
-        threshold max(slope, gnorm^2), which also certifies the plain-gradient law."""
-        direction = self.direction(state, grad)
+        direction = tangent_project(state.v, q, state.riesz_v)
         return direction, max(e_inner(direction, grad), gnorm * gnorm)
 
 
@@ -328,7 +315,6 @@ def _build_record(
         e_norm_u=e_norm(u),
         omega_gap_const=gap_const,
         v_star=state.v,
-        w_star=state.w,
         history=history,
         stall_reason=stall_reason,
         failed_criteria=failed,
@@ -638,9 +624,7 @@ def multi_start_deflated(
         raise ValueError("k must be positive")
     opts = _with_a_max(model, space, opts)
     envelope_scale = max(2.0, space.grid.box_length / 8.0)
-    starts = [
-        normalized(p, a) for p in _plus_basis(space, envelope_scale, HermiteBasis.first(k))[0]
-    ]
+    starts = [normalized(p, a) for p in _plus_basis(space, envelope_scale, k)[0]]
     rng = np.random.default_rng(opts.seed)
     starts += [random_field(space, rng, bandwidth=1.0, part="plus", target_l2=a) for _ in range(2)]
 

@@ -88,35 +88,25 @@ def hermite_function(idx, x) -> ArrayF:
     )
 
 
-@dataclass(frozen=True)
-class HermiteBasis:
-    """The first k tensor Hermite functions, L2(R^3)-orthonormal."""
-
-    dimension: int
-    multi_indices: tuple[tuple[int, int, int], ...]
-
-    @classmethod
-    def first(cls, k: int) -> "HermiteBasis":
-        if k <= 0:
-            raise ValueError("basis dimension must be positive")
-        return cls(k, hermite_multi_indices(k))
-
-    def grid_values(self, grid: Grid, coeffs, scale: float = 1.0) -> ArrayF:
-        """Separable evaluation of sum_i coeffs_i h_i(x / scale) on the grid."""
-        coeffs = np.asarray(coeffs, dtype=float)
-        if coeffs.shape != (self.dimension,):
-            raise ValueError(f"expected {self.dimension} coefficients, got {coeffs.shape}")
-        t = grid.axis_coords / scale
-        max_deg = max(max(idx) for idx in self.multi_indices)
-        table = np.stack([hermite_1d(n, t) for n in range(max_deg + 1)])
-        out = np.zeros((grid.n_per_axis,) * 3)
-        for c, (i, j, l) in zip(coeffs, self.multi_indices):
-            if c == 0.0:
-                continue
-            out += c * (
-                table[i][:, None, None] * table[j][None, :, None] * table[l][None, None, :]
-            )
-        return out
+def _hermite_grid_values(grid: Grid, coeffs, scale: float = 1.0) -> ArrayF:
+    """Separable evaluation of sum_i coeffs_i h_i(x / scale) on the grid, over
+    the first len(coeffs) tensor Hermite functions (hermite_multi_indices),
+    which are L2(R^3)-orthonormal."""
+    coeffs = np.asarray(coeffs, dtype=float)
+    if coeffs.ndim != 1 or not len(coeffs):
+        raise ValueError(f"expected a nonempty 1-D coefficient array, got shape {coeffs.shape}")
+    indices = hermite_multi_indices(len(coeffs))
+    t = grid.axis_coords / scale
+    max_deg = max(max(idx) for idx in indices)
+    table = np.stack([hermite_1d(n, t) for n in range(max_deg + 1)])
+    out = np.zeros((grid.n_per_axis,) * 3)
+    for c, (i, j, l) in zip(coeffs, indices):
+        if c == 0.0:
+            continue
+        out += c * (
+            table[i][:, None, None] * table[j][None, :, None] * table[l][None, None, :]
+        )
+    return out
 
 
 def periodic_solution_phi(space: DiracSpace, lam: float) -> SpinorField:
@@ -174,19 +164,18 @@ def mean_value(g, box_sizes) -> float:
     raise RuntimeError(f"box averages did not settle below 1e-08 on the ladder {box_sizes}")
 
 
-def scaled_envelope_field(
-    space: DiracSpace, scale: float, basis: HermiteBasis, coeffs
-) -> SpinorField:
+def scaled_envelope_field(space: DiracSpace, scale: float, coeffs) -> SpinorField:
     """Band-edge eigenfield modulated by a dilated Hermite combination.
 
-    Returns scale^(-3/2) * zeta(x / scale) * chi with zeta the coefficient
-    combination of the basis and chi = (1, 0, 0, 0), the constant band-edge
+    Returns scale^(-3/2) * zeta(x / scale) * chi with zeta the combination
+    sum_i coeffs_i h_i of the first len(coeffs) tensor Hermite functions
+    (see _hermite_grid_values) and chi = (1, 0, 0, 0), the constant band-edge
     spinor: the mean of |chi|^2 is exactly 1 and the continuum L2 norm equals
     |coeffs|.  Warns when the box captures less than 0.999 of that mass.
     """
     if scale <= 0:
         raise ValueError("scale must be positive")
-    zeta = basis.grid_values(space.grid, coeffs, scale=scale)
+    zeta = _hermite_grid_values(space.grid, coeffs, scale=scale)
     values = (scale ** (-1.5)) * zeta[None, :, :, :] * _UPPER_SPINOR[:, None, None, None]
     out = SpinorField(space, values.astype(np.complex128))
     expected = float(np.sum(np.square(np.asarray(coeffs, dtype=float))))
@@ -221,16 +210,14 @@ def sphere_samples(k: int, count: int) -> ArrayF:
     return np.vstack([rows, pts / np.linalg.norm(pts, axis=1, keepdims=True)])
 
 
-def envelope_operator_norms(
-    space: DiracSpace, scale: float, basis: HermiteBasis, coeffs
-) -> dict[str, float]:
+def envelope_operator_norms(space: DiracSpace, scale: float, coeffs) -> dict[str, float]:
     """Commutator and splitting diagnostics of one scaled envelope.
 
     Returns the L2 norm of (H0 - m) u, the absolute complex pairing
     |((H0 - m) u, u)_L2|, the minus-part L2 norm, the plus-part e-norm and
     the total L2 norm for u the scaled envelope field.
     """
-    u = scaled_envelope_field(space, scale, basis, coeffs)
+    u = scaled_envelope_field(space, scale, coeffs)
     m = space.mass
     gap = apply_h0(u) - m * u
     parts = split(u)
@@ -261,19 +248,15 @@ class SubspaceReport:
     warnings: list[str] = field(default_factory=list)
 
 
-def _plus_basis(
-    space: DiracSpace, scale: float, basis: HermiteBasis
-) -> tuple[list[SpinorField], list[float]]:
-    """Plus parts of the basis envelopes at one scale, with the share of its
-    L2 mass each envelope keeps on the box."""
+def _plus_basis(space: DiracSpace, scale: float, k: int) -> tuple[list[SpinorField], list[float]]:
+    """Plus parts of the first k basis envelopes at one scale, with the share
+    of its L2 mass each envelope keeps on the box."""
     fields = []
     captures = []
     with warnings.catch_warnings(record=True):
         warnings.simplefilter("always", MassLeakWarning)
-        for i in range(basis.dimension):
-            coeffs = np.zeros(basis.dimension)
-            coeffs[i] = 1.0
-            u = scaled_envelope_field(space, scale, basis, coeffs)
+        for coeffs in np.eye(k):
+            u = scaled_envelope_field(space, scale, coeffs)
             captures.append(l2_norm(u) ** 2)
             fields.append(split(u).plus)
     return fields, captures
@@ -337,13 +320,13 @@ def _subspace_reports(
     """The plus basis of the largest k in k_list at scale n, and the
     subspace_ratio report of each k.
 
-    HermiteBasis.first is nested, so each k reads the leading k x k blocks
+    The basis is nested in k, so each k reads the leading k x k blocks
     of the basis's Gram matrices and the capture of its first k fields.
     """
     if min(k_list) <= 0:
         raise ValueError("basis dimension must be positive")
     space = subspace_space(base_space, n)
-    plus_fields, captures = _plus_basis(space, n, HermiteBasis.first(max(k_list)))
+    plus_fields, captures = _plus_basis(space, n, max(k_list))
     full_gram = np.array([[l2_inner(pi, pj) for pj in plus_fields] for pi in plus_fields])
     full_e_gram = np.array([[e_inner(pi, pj) for pj in plus_fields] for pi in plus_fields])
     pointwise = _pointwise_gram(plus_fields)
@@ -381,7 +364,6 @@ class LevelBoundResult:
     """Minimax level bound on one scaled subspace, whose k, n, sup_quad and
     inf_psi are in the report."""
 
-    a: float
     analytic_bound: float
     direct_sup: float
     below_half_level: bool
@@ -467,7 +449,6 @@ def level_bounds(
         direct = max(j_basis[:k] + [_reduced_on_sphere(model, plus_fields, c, a)
                                     for c in random_rows])
         results.append(LevelBoundResult(
-            a=a,
             analytic_bound=float(analytic),
             direct_sup=float(direct),
             below_half_level=analytic < half,

@@ -34,7 +34,7 @@ from diracnorm import (
 from diracnorm.reduction import minus_ball_radius, sample_concavity, tangent_project
 from diracnorm.solver import default_initial_guess
 from diracnorm.spectral_core import SpinorField, constant_field, random_field, riesz_plus
-from diracnorm.subspaces import HermiteBasis, envelope_operator_norms, subspace_space
+from diracnorm.subspaces import envelope_operator_norms, subspace_space
 
 MASS = 1.0
 
@@ -236,7 +236,6 @@ def test_c09_subspace_level_bounds(space):
 
 
 def test_c10_envelope_operator_estimates(space):
-    basis = HermiteBasis.first(3)
     coeff_sets = [np.eye(3)[i] for i in range(3)] + [np.array([0.6, 0.64, 0.48])]
     zero_floor = 1e-8
     for coeffs in coeff_sets:
@@ -244,7 +243,7 @@ def test_c10_envelope_operator_estimates(space):
         pair_seq = []
         for n in (2.0, 4.0, 8.0, 16.0):
             space_n = subspace_space(space, n)
-            d = envelope_operator_norms(space_n, n, basis, coeffs)
+            d = envelope_operator_norms(space_n, n, coeffs)
             gap_seq.append(n * d["gap_l2"])
             pair_seq.append(n * d["gap_pairing"])
         for prev, cur in zip(gap_seq, gap_seq[1:]):
@@ -253,7 +252,7 @@ def test_c10_envelope_operator_estimates(space):
             for prev, cur in zip(pair_seq, pair_seq[1:]):
                 assert 0.3 <= cur / prev <= 1.7
         space_16 = subspace_space(space, 16.0)
-        d16 = envelope_operator_norms(space_16, 16.0, basis, coeffs)
+        d16 = envelope_operator_norms(space_16, 16.0, coeffs)
         assert abs(d16["u_l2"] - float(np.linalg.norm(coeffs))) <= 5e-3
     _report(10, "scaled-envelope operator estimates along the ladder")
 

@@ -667,3 +667,14 @@ def test_an_output_path_naming_a_file_is_a_config_error_before_any_work(
     assert str(taken) in line
     assert calls == []
     assert taken.read_text() == "not a directory\n"
+
+
+def test_readme_quickstart_runs_and_states_its_numbers():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Library quickstart", 1)[1]
+    (code,) = re.findall(r"```python\n(.*?)```", section.split("\n## ", 1)[0], re.S)
+    namespace: dict = {}
+    exec(compile(code, "README.md", "exec"), namespace)
+    # the block's comments: a ~5e-6 error estimate and a slope ~ p - 2
+    assert 2e-6 <= namespace["rec"].omega_resolution <= 1e-5
+    assert abs(namespace["sweep"].slope - (namespace["model"].p - 2.0)) <= 0.2

@@ -416,16 +416,15 @@ def test_inner_gradient_warns_at_ball_boundary(space12, rng):
 def test_scaled_subspace_candidate_dips_below_half_level(desk_space):
     # the reduced value along scaled-envelope candidates drops below
     # m a^2 / 2 for the default model at a = 0.1
-    from diracnorm.subspaces import HermiteBasis, scaled_envelope_field, subspace_space
+    from diracnorm.subspaces import scaled_envelope_field, subspace_space
 
     model = pure_power(2.5)
     a = 0.1
     m = desk_space.mass
-    basis = HermiteBasis.first(1)
     best = np.inf
     for scale in (4.0, 8.0):
         space_n = subspace_space(desk_space, scale)
-        u = scaled_envelope_field(space_n, scale, basis, [1.0])
+        u = scaled_envelope_field(space_n, scale, [1.0])
         v = normalized(split(u).plus, a)
         best = min(best, inner_maximize(model, v, tol=1e-10 * a).j_val)
     assert best < 0.5 * m * a * a

@@ -136,6 +136,23 @@ def test_calibrated_threshold_covers_small_masses(space12):
     assert a_max >= 0.2
 
 
+def test_calibration_samples_concavity_at_small_mass(monkeypatch):
+    # at m = 0.1 every random plus draw lies outside in_plus_cone; the
+    # calibration must still take its samples rather than pass on none
+    import diracnorm.invariants as invariants
+
+    calls = []
+    sample = invariants.sample_concavity
+
+    def counting(*args):
+        calls.append(1)
+        return sample(*args)
+
+    monkeypatch.setattr(invariants, "sample_concavity", counting)
+    calibrate_a_max(pure_power(2.5), DiracSpace(Grid(12, 16.0), 0.1), seed=20240)
+    assert len(calls) >= 4
+
+
 def test_sweep_null_model(space16, opts):
     res = bifurcation_sweep(null_model(), [0.12, 0.1, 0.08], opts, space16)
     for rec in res.records:

@@ -33,8 +33,8 @@ from diracnorm.nonlinearity import psi
 from diracnorm.spectral_core import normalized
 
 from diracnorm.subspaces import (
-    HermiteBasis,
     MassLeakWarning,
+    _hermite_grid_values,
     _pointwise_gram,
     _sphere_psi,
     envelope_operator_norms,
@@ -67,11 +67,16 @@ def test_hermite_matches_explicit_polynomials():
     assert np.allclose(hermite_1d(3, t), expected3, rtol=1e-12)
 
 
+def test_hermite_grid_values_need_a_nonempty_1d_coefficient_array(space12):
+    for coeffs in ([], np.eye(2)):
+        with pytest.raises(ValueError, match="1-D"):
+            _hermite_grid_values(space12.grid, coeffs)
+
+
 def test_hermite_orthonormality_on_box(desk_space):
     grid = desk_space.grid
-    basis = HermiteBasis.first(4)
     vol = grid.cell_volume
-    vals = [basis.grid_values(grid, np.eye(4)[i]) for i in range(4)]
+    vals = [_hermite_grid_values(grid, np.eye(4)[i]) for i in range(4)]
     for i in range(4):
         for j in range(4):
             overlap = vol * float(np.sum(vals[i] * vals[j]))
@@ -128,8 +133,7 @@ def test_mean_value_non_convergence_raises():
 
 
 def test_envelope_unit_scale_is_gaussian(desk_space):
-    basis = HermiteBasis.first(1)
-    u = scaled_envelope_field(desk_space, 1.0, basis, [1.0])
+    u = scaled_envelope_field(desk_space, 1.0, [1.0])
     x = desk_space.grid.axis_coords
     expected0 = np.pi ** (-0.75) * np.exp(
         -0.5 * (x[:, None, None] ** 2 + x[None, :, None] ** 2 + x[None, None, :] ** 2)
@@ -140,17 +144,15 @@ def test_envelope_unit_scale_is_gaussian(desk_space):
 
 
 def test_envelope_mass_leak_warning(space16):
-    basis = HermiteBasis.first(1)
     with pytest.warns(MassLeakWarning):
-        scaled_envelope_field(space16, 16.0, basis, [1.0])
+        scaled_envelope_field(space16, 16.0, [1.0])
 
 
 def test_envelope_operator_laws(desk_space):
-    basis = HermiteBasis.first(1)
     gap_seq = []
     for n in (2.0, 4.0, 8.0, 16.0):
         space_n = subspace_space(desk_space, n)
-        d = envelope_operator_norms(space_n, n, basis, [1.0])
+        d = envelope_operator_norms(space_n, n, [1.0])
         gap_seq.append(n * d["gap_l2"])
         # commutator pairing vanishes for the constant band-edge spinor
         assert d["gap_pairing"] <= 1e-10
@@ -163,18 +165,17 @@ def test_envelope_operator_laws(desk_space):
 
 
 def test_envelope_norm_and_plus_limits(desk_space):
-    basis = HermiteBasis.first(2)
     m = desk_space.mass
     for coeffs in ([1.0, 0.0], [0.0, 1.0], [0.6, 0.8]):
         prev_err = None
         for n in (4.0, 8.0, 16.0):
             space_n = subspace_space(desk_space, n)
-            d = envelope_operator_norms(space_n, n, basis, coeffs)
+            d = envelope_operator_norms(space_n, n, coeffs)
             err = abs(d["u_l2"] - 1.0)
             assert err < 0.01
             assert abs(d["plus_e_norm"] - np.sqrt(m)) < 0.2 / n
         space_n = subspace_space(desk_space, 16.0)
-        d = envelope_operator_norms(space_n, 16.0, basis, coeffs)
+        d = envelope_operator_norms(space_n, 16.0, coeffs)
         assert abs(d["u_l2"] - 1.0) <= 5e-3
 
 
@@ -257,8 +258,7 @@ def _plus_span(k, n):
     and the subspace report of the same span."""
     base = DiracSpace(Grid(12, 12.0), 1.0)
     space = subspace_space(base, n)
-    basis = HermiteBasis.first(k)
-    fields = [split(scaled_envelope_field(space, n, basis, row)).plus for row in np.eye(k)]
+    fields = [split(scaled_envelope_field(space, n, row)).plus for row in np.eye(k)]
     return fields, subspace_ratio(pure_power(2.2), k, n, base, density=1)
 
 
