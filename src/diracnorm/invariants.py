@@ -238,7 +238,7 @@ def check_all(model: NonlinearModel, space: DiracSpace, a: float,
         v = random_field(space, rng, bandwidth=1.0, part="plus", target_l2=a)
         st = evaluate_reduced(model, v, tol=1e-11 * a)
         z = tangent_project(v, random_field(space, rng, bandwidth=1.0, part="plus", target_l2=a))
-        t = 1e-5
+        t = 1e-5 * np.sqrt(max(1.0, space.mass))
         ratio = np.sqrt(max(1.0 - t * t * l2_norm(z) ** 2 / a**2, 0.0))
         jp = evaluate_reduced(model, ratio * v + t * z, tol=1e-11 * a,
                               need_gradient=False).j_val

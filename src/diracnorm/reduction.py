@@ -232,6 +232,7 @@ def inner_maximize(
     w0: SpinorField | None = None,
     max_iter: int = 500,
     reject_above: float | None = None,
+    certify_below: float | None = None,
 ) -> ReducedState | None:
     """Maximize the fiber energy over the admissible minus ball.
 
@@ -247,6 +248,11 @@ def inner_maximize(
     With reject_above given, returns None without iterating when the fiber
     energy at the start already exceeds it: J(v), the maximum over the ball,
     is at least that energy, so J(v) > reject_above is certain.
+
+    With certify_below given, returns early at an iterate w_k, residual g > tol
+    allowed, once its upper end J(w_k) + e_norm(g)^2 / (2 mu) = j_val +
+    inner_residual^2 / (2 mu) is at most certify_below and the boundary test
+    passes there: then J(v) <= certify_below is certain.
     """
     fiber = _Fiber(model, v)
     if tol is None:
@@ -268,6 +274,11 @@ def inner_maximize(
     eta = 1.0
     iterations = 0
     while gnorm > tol and iterations < max_iter:
+        if certify_below is not None:
+            level = fiber.level(aux[0], wn, aux[1])
+            if (level + gnorm**2 / (2 * CONCAVITY_MARGIN) <= certify_below
+                    and wn + gnorm / CONCAVITY_MARGIN < 0.999 * fiber.radius):
+                break  # settled below certify_below: the tests after the loop do not apply
         step_hat = grad.hat * fiber.precond
         accepted = False
         for _ in range(40):
@@ -292,23 +303,24 @@ def inner_maximize(
         w, grad, gnorm, aux = w_try, grad_try, gn_try, aux_try
         eta = min(1.0, eta * 1.5)
         iterations += 1
-    if gnorm > tol:
-        raise InnerConvergenceError(
-            f"inner maximization did not converge in {max_iter} iterations "
-            f"(gradient norm {gnorm:.3e}, tol {tol:.3e})"
-        )
-    if w is None:  # the cold start already met the tolerance
+    else:
+        if gnorm > tol:
+            raise InnerConvergenceError(
+                f"inner maximization did not converge in {max_iter} iterations "
+                f"(gradient norm {gnorm:.3e}, tol {tol:.3e})"
+            )
+        boundary_fraction = (wn + gnorm / CONCAVITY_MARGIN) / fiber.radius
+        if boundary_fraction >= 0.999:
+            raise SmallnessError(
+                "inner maximizer reached the minus-ball boundary "
+                f"(fraction {boundary_fraction:.4f}); mass a={fiber.a:.3e} is too large"
+            )
+        level = fiber.level(aux[0], wn, aux[1])
+    if w is None:  # the cold start already met the tolerance or settled
         w = SpinorField.zeros(fiber.space)
-    boundary_fraction = (wn + gnorm / CONCAVITY_MARGIN) / fiber.radius
-    if boundary_fraction >= 0.999:
-        raise SmallnessError(
-            "inner maximizer reached the minus-ball boundary "
-            f"(fraction {boundary_fraction:.4f}); mass a={fiber.a:.3e} is too large"
-        )
     c, u, fu, kap = aux
     return ReducedState(v=v, a=fiber.a, w=w, g=u, fu=fu, fiber_coeff=c, kappa_val=kap,
-                        j_val=fiber.level(c, wn, u), inner_residual=gnorm,
-                        inner_iterations=iterations)
+                        j_val=level, inner_residual=gnorm, inner_iterations=iterations)
 
 
 def kappa(model: NonlinearModel, u: SpinorField) -> float:
@@ -375,11 +387,14 @@ def evaluate_reduced(
     max_iter: int = 500,
     need_gradient: bool = True,
     reject_above: float | None = None,
+    certify_below: float | None = None,
 ) -> ReducedState | None:
     """inner_maximize at v, with the sphere-tangent gradient attached when asked;
-    None when inner_maximize rejects v against reject_above."""
+    None when inner_maximize rejects v against reject_above.  With
+    certify_below, the state may stop short of tol once its certified upper
+    end of J is at most certify_below (see inner_maximize)."""
     state = inner_maximize(model, v, tol=tol, w0=w0, max_iter=max_iter,
-                           reject_above=reject_above)
+                           reject_above=reject_above, certify_below=certify_below)
     if state is None or not need_gradient:
         return state
     return attach_gradient(state)

@@ -274,10 +274,9 @@ def _pointwise_gram(fields: list[SpinorField]) -> ArrayF:
     return np.einsum("icxr,jcxr->ijx", pairs, pairs).reshape((len(fields),) * 2 + vals.shape[2:])
 
 
-def _sphere_psi(
-    model: NonlinearModel, grid: Grid, gram: ArrayF, pointwise: ArrayF, samples: ArrayF
-) -> ArrayF:
-    """psi of u_c / |u_c|_2 with u_c = sum_i c_i p_i, for each row c of samples.
+def _sphere_psi(model: NonlinearModel, grid: Grid, gram: ArrayF, pointwise: ArrayF,
+                samples: ArrayF, a: float = 1.0) -> ArrayF:
+    """psi of a u_c / |u_c|_2 with u_c = sum_i c_i p_i, for each row c of samples.
 
     ``gram`` is the L2 Gram matrix of the p_i and ``pointwise`` their
     pointwise Gram matrices M(x) (see _pointwise_gram): |u_c(x)|^2 = c.M(x)c
@@ -287,7 +286,8 @@ def _sphere_psi(
     for start in range(0, len(samples), _PSI_CHUNK):
         c = samples[start : start + _PSI_CHUNK]
         mass = np.einsum("bi,ij,bj->b", c, gram, c)
-        density = np.einsum("bi,bj,ijxyz->bxyz", c, c, pointwise) / mass[:, None, None, None]
+        density = a * a * np.einsum("bi,bj,ijxyz->bxyz", c, c, pointwise)
+        density /= mass[:, None, None, None]
         # rounding can leave c.M(x)c slightly negative where u_c vanishes
         t = np.sqrt(np.maximum(density, 0.0))
         out[start : start + _PSI_CHUNK] = psi_quadrature(model, grid, t)
@@ -316,9 +316,9 @@ def subspace_ratio(
 
 def _subspace_reports(
     model: NonlinearModel, k_list: list[int], n: float, base_space: DiracSpace, density: int
-) -> tuple[list[SpinorField], list[SubspaceReport]]:
-    """The plus basis of the largest k in k_list at scale n, and the
-    subspace_ratio report of each k.
+) -> tuple[list[SpinorField], list[SubspaceReport], tuple[ArrayF, ArrayF, ArrayF]]:
+    """The plus basis of the largest k in k_list at scale n, the subspace_ratio
+    report of each k, and the basis's L2, e-norm and pointwise Gram matrices.
 
     The basis is nested in k, so each k reads the leading k x k blocks
     of the basis's Gram matrices and the capture of its first k fields.
@@ -356,7 +356,7 @@ def _subspace_reports(
         if capture < 0.999:
             report.warnings.append(f"mass capture {capture:.4f} below 0.999")
         reports.append(report)
-    return plus_fields, reports
+    return plus_fields, reports, (full_gram, full_e_gram, pointwise)
 
 
 @dataclass
@@ -381,13 +381,15 @@ _J_INNER_TOL = float(np.sqrt(2.0 * CONCAVITY_MARGIN * _CONSISTENCY_SLACK / 10.0)
 
 
 def _reduced_on_sphere(
-    model: NonlinearModel, plus_fields: list[SpinorField], coeffs, a: float
+    model: NonlinearModel, plus_fields: list[SpinorField], coeffs, a: float,
+    certify_below: float | None = None,
 ) -> float:
     """Certified upper end of J at sum_i coeffs_i p_i scaled to L2 norm a.
 
-    The inner solve stops at residual _J_INNER_TOL; with the sampled
-    concavity margin mu = CONCAVITY_MARGIN of the fiber energy, the iterate's
-    value J(w_k) and inner residual g bound J(v) <= J(w_k) + e_norm(g)^2 / (2 mu).
+    The inner solve stops at residual _J_INNER_TOL, or earlier once the upper
+    end is at most certify_below; with the sampled concavity margin
+    mu = CONCAVITY_MARGIN of the fiber energy, the iterate's value J(w_k)
+    and inner residual g bound J(v) <= J(w_k) + e_norm(g)^2 / (2 mu).
     The combination is formed on the basis's grid values as well as its
     coefficients, so the cold-started inner solve needs no inverse transform.
     """
@@ -399,7 +401,8 @@ def _reduced_on_sphere(
     space = plus_fields[0].space
     scale = a / l2_norm(SpinorField.from_hat(space, hat))
     v = SpinorField(space, values * scale, hat * scale)
-    state = evaluate_reduced(model, v, tol=_J_INNER_TOL, need_gradient=False)
+    state = evaluate_reduced(model, v, tol=_J_INNER_TOL, need_gradient=False,
+                             certify_below=certify_below)
     return state.j_val + state.inner_residual**2 / (2 * CONCAVITY_MARGIN)
 
 
@@ -432,22 +435,37 @@ def level_bounds(
     same field, so the signed basis rows of every k come down to the unit
     vectors e_1 .. e_max(k), each evaluated once, and only the random rows
     of sphere_samples are evaluated per k.
+
+    Only a row that can hold a sup is solved to tolerance.  The floor of k,
+    the largest J(0) = e_norm(v)^2 / 2 - psi(v) over its rows in Gram form
+    less 1e-13 of itself for rounding, is the certify_below of each of its
+    rows (the least floor for a shared e_i): a row that settles has
+    J <= floor <= J of the floor row, so the sup keeps its value.
     """
-    plus_fields, reports = _subspace_reports(model, k_list, n, base_space, density)
+    plus_fields, reports, (gram, e_gram, pointwise) = _subspace_reports(
+        model, k_list, n, base_space, density)
     m = base_space.mass
     q = model.q
     half = 0.5 * m * a * a
+    random_rows, floor = {}, {}
+    for k in k_list:
+        random_rows[k] = sphere_samples(k, max(j_density * k - 2 * k, 0))[2 * k:]
+        rows = np.vstack([np.eye(k), random_rows[k]])
+        quad = [(c @ e_gram[:k, :k] @ c) / (c @ gram[:k, :k] @ c) for c in rows]
+        j0 = max(0.5 * a * a * np.array(quad) - _sphere_psi(
+            model, plus_fields[0].space.grid, gram[:k, :k], pointwise[:k, :k], rows, a))
+        floor[k] = j0 - 1e-13 * abs(j0)
     # e_i as its first i + 1 entries: the same field without trailing zero terms
-    j_basis = [_reduced_on_sphere(model, plus_fields, np.eye(i + 1)[i], a)
+    j_basis = [_reduced_on_sphere(model, plus_fields, np.eye(i + 1)[i], a,
+                                  min(floor[k] for k in k_list if k > i))
                for i in range(max(k_list))]
     results = []
     for k, report in zip(k_list, reports):
         analytic = 0.5 * a * a * (m + report.sup_quad) - 2.0 ** (
             1.0 - 2.0 * q
         ) * a**q * report.inf_psi
-        random_rows = sphere_samples(k, max(j_density * k - 2 * k, 0))[2 * k:]
-        direct = max(j_basis[:k] + [_reduced_on_sphere(model, plus_fields, c, a)
-                                    for c in random_rows])
+        direct = max(j_basis[:k] + [_reduced_on_sphere(model, plus_fields, c, a, floor[k])
+                                    for c in random_rows[k]])
         results.append(LevelBoundResult(
             analytic_bound=float(analytic),
             direct_sup=float(direct),

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from diracnorm import (
     DiracSpace,
     Grid,
+    SpinorField,
     apply_h0,
     e_inner,
     e_norm,
@@ -411,3 +412,99 @@ def test_direct_sup_bounds_the_tight_sup_of_its_rows(monkeypatch):
     tight = max(evaluate_reduced(model, s.v, tol=1e-12 * a, need_gradient=False).j_val
                 for s in states)
     assert tight <= res.direct_sup <= tight + 1e-7
+
+
+def _sphere_point(fields, coeffs, a):
+    """sum_i coeffs_i fields_i scaled to L2 norm a."""
+    combo = fields[0] * coeffs[0]
+    for c, p in zip(coeffs[1:], fields[1:]):
+        combo = combo + p * c
+    return a * normalized(combo)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    coeffs=st.lists(st.floats(-1.0, 1.0, allow_nan=False), min_size=3, max_size=3).filter(
+        lambda c: np.linalg.norm(c) > 1e-3
+    ),
+    kind=st.sampled_from(sorted(_MODELS)),
+    shift=st.floats(-1e-5, 1e-5),
+)
+def test_a_sphere_value_settles_only_below_its_bound(coeffs, kind, shift):
+    import diracnorm.subspaces as subspaces
+
+    fields, _ = _plus_span(3, 4.0)
+    model, a = _MODELS[kind], 0.1
+    v = _sphere_point(fields, coeffs, a)
+    bound = 0.5 * e_norm(v) ** 2 - psi(model, v) + shift
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        states = _spy_on_evaluate(monkeypatch)
+        upper = subspaces._reduced_on_sphere(model, fields, np.array(coeffs), a, bound)
+    (state,) = states
+    tight = evaluate_reduced(model, state.v, tol=1e-12 * a, need_gradient=False).j_val
+    assert tight <= upper + 1e-14 * abs(tight)
+    if state.inner_residual > subspaces._J_INNER_TOL:  # settled
+        assert upper <= bound
+    else:
+        assert upper - tight <= 1e-7
+
+
+@pytest.mark.parametrize("fraction", [0.05, 0.08, 0.5, 1.0])
+def test_a_point_without_an_interior_certificate_does_not_settle(monkeypatch, fraction):
+    """With the ball shrunk so that the cold certificate e_norm(g0) / mu
+    reaches it, even an unbounded certify_below changes nothing."""
+    import diracnorm.reduction as reduction
+    import diracnorm.subspaces as subspaces
+
+    fields, _ = _plus_span(3, 4.0)
+    model = pure_power(2.2)
+    v = _sphere_point(fields, [0.3, -0.8, 0.5], 0.1)
+    g0 = e_norm(reduction.inner_gradient(model, v, SpinorField.zeros(v.space)))
+    monkeypatch.setattr(reduction, "minus_ball_radius",
+                        lambda space, a: fraction * g0 / reduction.CONCAVITY_MARGIN)
+
+    def outcome(certify_below):
+        try:
+            state = reduction.inner_maximize(model, v, tol=subspaces._J_INNER_TOL,
+                                             certify_below=certify_below)
+        except (reduction.SmallnessError, reduction.InnerConvergenceError) as err:
+            return f"{type(err).__name__}: {err}"
+        return state.j_val, state.inner_residual, state.inner_iterations
+
+    got = outcome(np.inf)
+    assert got == outcome(None)
+    assert isinstance(got, str) or got[1] <= subspaces._J_INNER_TOL
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    coeffs=st.lists(st.floats(-1.0, 1.0, allow_nan=False), min_size=1, max_size=3).filter(
+        lambda c: np.linalg.norm(c) > 1e-3
+    ),
+    kind=st.sampled_from(sorted(_MODELS)),
+)
+def test_gram_form_cold_value_matches_the_field(coeffs, kind):
+    """The floor of level_bounds: J(0) = (a^2 / 2) c.E c / c.G c - psi of the
+    mass-a point, from the Gram matrices alone."""
+    fields, _ = _plus_span(3, 4.0)
+    fields, c, a = fields[: len(coeffs)], np.array(coeffs), 0.2
+    gram = np.array([[l2_inner(p, q) for q in fields] for p in fields])
+    e_gram = np.array([[e_inner(p, q) for q in fields] for p in fields])
+    pointwise = _pointwise_gram(fields)
+    got = 0.5 * a * a * (c @ e_gram @ c) / (c @ gram @ c) - _sphere_psi(
+        _MODELS[kind], fields[0].space.grid, gram, pointwise, c[None], a)[0]
+    v = _sphere_point(fields, coeffs, a)
+    want = 0.5 * e_norm(v) ** 2 - psi(_MODELS[kind], v)
+    assert abs(got - want) <= 1e-13 * abs(want)
+
+
+def test_cmd_subspace_solves_to_tolerance_only_the_points_that_can_hold_the_sup(
+        tmp_path, monkeypatch):
+    states = _spy_on_evaluate(monkeypatch)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("grid.n_per_axis=12\ngrid.box_length=12.0\nmodel.p=2.2\nmodel.q=2.2\n"
+                   "model.growth_alpha=2.2\nsubspace.n_ladder=2,4\nsubspace.sample_density=4\n")
+    assert main(["subspace", "--config", str(cfg), "--output", str(tmp_path), "--quiet"]) == 0
+    # every row solved to tolerance took 66 ascent steps
+    assert len(states) == 66
+    assert sum(s.inner_iterations for s in states) == 7
