@@ -28,6 +28,7 @@ norm domination e_norm^2 >= m l2^2 forces l2_norm(w) <= a / 2.
 from __future__ import annotations
 
 import copy
+import functools
 import warnings
 from dataclasses import dataclass
 
@@ -126,9 +127,13 @@ class _Fiber:
             raise DomainError("fiber base field must be nonzero")
         self.env2 = e_norm(v) ** 2
         self.radius = minus_ball_radius(self.space, self.a)
-        # exact per-mode curvature of the quadratic part of the inner problem,
-        # used as a diagonal preconditioner in the e-metric
-        self.precond = 1.0 / (1.0 + (self.env2 / self.a**2) / self.space.lam)
+
+    @functools.cached_property
+    def precond(self):
+        """Exact per-mode curvature of the quadratic part of the inner problem,
+        used as a diagonal preconditioner in the e-metric; built on the first
+        ascent step, so a solve that takes none never forms it."""
+        return 1.0 / (1.0 + (self.env2 / self.a**2) / self.space.lam)
 
     def parts(self, w: SpinorField | None) -> tuple[float, SpinorField]:
         """The coefficient c and the fiber point u = c v + w."""

@@ -262,16 +262,24 @@ def _plus_basis(space: DiracSpace, scale: float, k: int) -> tuple[list[SpinorFie
     return fields, captures
 
 
-#: Sphere samples per chunk of the Gram-form potential; each temporary holds
-#: this many real grid arrays.
-_PSI_CHUNK = 4
+#: Grid values per chunk of the Gram-form potential: each chunk takes
+#: max(1, this // n^3) sphere samples, so its density matrix holds about this
+#: many reals whatever the grid (18 rows at 12^3, 2 at 24^3).
+_PSI_CHUNK_VALUES = 1 << 15
 
 
 def _pointwise_gram(fields: list[SpinorField]) -> ArrayF:
-    """M_ij(x) = Re sum_c p_i,c(x) conj(p_j,c(x)), shape (K, K) + grid shape."""
-    vals = np.stack([p.values for p in fields])
-    pairs = vals.view(np.float64).reshape(len(fields), 4, -1, 2)
-    return np.einsum("icxr,jcxr->ijx", pairs, pairs).reshape((len(fields),) * 2 + vals.shape[2:])
+    """M_ij(x) = Re sum_c p_i,c(x) conj(p_j,c(x)), shape (K, K) + grid shape;
+    each entry with i <= j is computed once and copied to M_ji."""
+    k = len(fields)
+    pairs = [p.values.view(np.float64).reshape(4, -1, 2) for p in fields]
+    out = np.empty((k, k) + fields[0].values.shape[1:])
+    flat = out.reshape(k, k, -1)
+    for i in range(k):
+        for j in range(i, k):
+            np.einsum("cxr,cxr->x", pairs[i], pairs[j], out=flat[i, j])
+            flat[j, i] = flat[i, j]
+    return out
 
 
 def _sphere_psi(model: NonlinearModel, grid: Grid, gram: ArrayF, pointwise: ArrayF,
@@ -280,17 +288,23 @@ def _sphere_psi(model: NonlinearModel, grid: Grid, gram: ArrayF, pointwise: Arra
 
     ``gram`` is the L2 Gram matrix of the p_i and ``pointwise`` their
     pointwise Gram matrices M(x) (see _pointwise_gram): |u_c(x)|^2 = c.M(x)c
-    and |u_c|_2^2 = c.G c, so no field is formed.
+    and |u_c|_2^2 = c.G c, so no field is formed.  A chunk of rows forms its
+    densities as one product, the rows' outer products c c^T as a (B, k^2)
+    matrix times M as (k^2, n^3); each density sums at most k^2 terms.
     """
+    k = len(gram)
+    flat = pointwise.reshape(k * k, -1)
+    rows = max(1, _PSI_CHUNK_VALUES // flat.shape[1])
     out = np.empty(len(samples))
-    for start in range(0, len(samples), _PSI_CHUNK):
-        c = samples[start : start + _PSI_CHUNK]
+    for start in range(0, len(samples), rows):
+        c = samples[start : start + rows]
         mass = np.einsum("bi,ij,bj->b", c, gram, c)
-        density = a * a * np.einsum("bi,bj,ijxyz->bxyz", c, c, pointwise)
-        density /= mass[:, None, None, None]
+        density = (c[:, :, None] * c[:, None, :]).reshape(len(c), k * k) @ flat
+        density *= (a * a / mass)[:, None]
         # rounding can leave c.M(x)c slightly negative where u_c vanishes
-        t = np.sqrt(np.maximum(density, 0.0))
-        out[start : start + _PSI_CHUNK] = psi_quadrature(model, grid, t)
+        np.maximum(density, 0.0, out=density)
+        out[start : start + rows] = psi_quadrature(
+            model, grid, density.reshape((len(c),) + pointwise.shape[2:]), squared=True)
     return out
 
 
@@ -316,9 +330,11 @@ def subspace_ratio(
 
 def _subspace_reports(
     model: NonlinearModel, k_list: list[int], n: float, base_space: DiracSpace, density: int
-) -> tuple[list[SpinorField], list[SubspaceReport], tuple[ArrayF, ArrayF, ArrayF]]:
-    """The plus basis of the largest k in k_list at scale n, the subspace_ratio
-    report of each k, and the basis's L2, e-norm and pointwise Gram matrices.
+) -> tuple[tuple[DiracSpace, ArrayF, ArrayF], list[SubspaceReport],
+           tuple[ArrayF, ArrayF, ArrayF]]:
+    """The plus basis of the largest k in k_list at scale n, stacked (see
+    _stacked), the subspace_ratio report of each k, and the basis's L2,
+    e-norm and pointwise Gram matrices.
 
     The basis is nested in k, so each k reads the leading k x k blocks
     of the basis's Gram matrices and the capture of its first k fields.
@@ -356,7 +372,7 @@ def _subspace_reports(
         if capture < 0.999:
             report.warnings.append(f"mass capture {capture:.4f} below 0.999")
         reports.append(report)
-    return plus_fields, reports, (full_gram, full_e_gram, pointwise)
+    return _stacked(plus_fields), reports, (full_gram, full_e_gram, pointwise)
 
 
 @dataclass
@@ -380,11 +396,21 @@ _CONSISTENCY_SLACK = 1e-6
 _J_INNER_TOL = float(np.sqrt(2.0 * CONCAVITY_MARGIN * _CONSISTENCY_SLACK / 10.0))
 
 
+def _stacked(fields: list[SpinorField]) -> tuple[DiracSpace, ArrayF, ArrayF]:
+    """The fields' space and their coefficients and grid values as rows of
+    real float64 views, one row per field, so that a combination of the first
+    k fields is one product coeffs @ rows[:k]."""
+    hat_rows = np.stack([p.hat for p in fields]).reshape(len(fields), -1).view(np.float64)
+    value_rows = np.stack([p.values for p in fields]).reshape(len(fields), -1).view(np.float64)
+    return fields[0].space, hat_rows, value_rows
+
+
 def _reduced_on_sphere(
-    model: NonlinearModel, plus_fields: list[SpinorField], coeffs, a: float,
+    model: NonlinearModel, basis: tuple[DiracSpace, ArrayF, ArrayF], coeffs, a: float,
     certify_below: float | None = None,
 ) -> float:
-    """Certified upper end of J at sum_i coeffs_i p_i scaled to L2 norm a.
+    """Certified upper end of J at sum_i coeffs_i p_i scaled to L2 norm a,
+    for p_i the fields stacked in basis (see _stacked).
 
     The inner solve stops at residual _J_INNER_TOL, or earlier once the upper
     end is at most certify_below; with the sampled concavity margin
@@ -393,16 +419,16 @@ def _reduced_on_sphere(
     The combination is formed on the basis's grid values as well as its
     coefficients, so the cold-started inner solve needs no inverse transform.
     """
-    hat = coeffs[0] * plus_fields[0].hat
-    values = coeffs[0] * plus_fields[0].values
-    for ci, p in zip(coeffs[1:], plus_fields[1:]):
-        hat = hat + ci * p.hat
-        values = values + ci * p.values
-    space = plus_fields[0].space
+    space, hat_rows, value_rows = basis
+    k = len(coeffs)
+    shape = (4,) + (space.grid.n_per_axis,) * 3
+    hat = (coeffs @ hat_rows[:k]).view(np.complex128).reshape(shape)
+    values = (coeffs @ value_rows[:k]).view(np.complex128).reshape(shape)
     scale = a / l2_norm(SpinorField.from_hat(space, hat))
-    v = SpinorField(space, values * scale, hat * scale)
-    state = evaluate_reduced(model, v, tol=_J_INNER_TOL, need_gradient=False,
-                             certify_below=certify_below)
+    hat *= scale
+    values *= scale
+    state = evaluate_reduced(model, SpinorField(space, values, hat), tol=_J_INNER_TOL,
+                             need_gradient=False, certify_below=certify_below)
     return state.j_val + state.inner_residual**2 / (2 * CONCAVITY_MARGIN)
 
 
@@ -442,7 +468,7 @@ def level_bounds(
     rows (the least floor for a shared e_i): a row that settles has
     J <= floor <= J of the floor row, so the sup keeps its value.
     """
-    plus_fields, reports, (gram, e_gram, pointwise) = _subspace_reports(
+    basis, reports, (gram, e_gram, pointwise) = _subspace_reports(
         model, k_list, n, base_space, density)
     m = base_space.mass
     q = model.q
@@ -453,10 +479,10 @@ def level_bounds(
         rows = np.vstack([np.eye(k), random_rows[k]])
         quad = [(c @ e_gram[:k, :k] @ c) / (c @ gram[:k, :k] @ c) for c in rows]
         j0 = max(0.5 * a * a * np.array(quad) - _sphere_psi(
-            model, plus_fields[0].space.grid, gram[:k, :k], pointwise[:k, :k], rows, a))
+            model, basis[0].grid, gram[:k, :k], pointwise[:k, :k], rows, a))
         floor[k] = j0 - 1e-13 * abs(j0)
     # e_i as its first i + 1 entries: the same field without trailing zero terms
-    j_basis = [_reduced_on_sphere(model, plus_fields, np.eye(i + 1)[i], a,
+    j_basis = [_reduced_on_sphere(model, basis, np.eye(i + 1)[i], a,
                                   min(floor[k] for k in k_list if k > i))
                for i in range(max(k_list))]
     results = []
@@ -464,7 +490,7 @@ def level_bounds(
         analytic = 0.5 * a * a * (m + report.sup_quad) - 2.0 ** (
             1.0 - 2.0 * q
         ) * a**q * report.inf_psi
-        direct = max(j_basis[:k] + [_reduced_on_sphere(model, plus_fields, c, a, floor[k])
+        direct = max(j_basis[:k] + [_reduced_on_sphere(model, basis, c, a, floor[k])
                                     for c in random_rows[k]])
         results.append(LevelBoundResult(
             analytic_bound=float(analytic),

@@ -3,6 +3,7 @@ import subprocess
 import sys
 from functools import lru_cache
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -30,7 +31,7 @@ from diracnorm import (
     two_power,
 )
 from diracnorm.cli import main
-from diracnorm.nonlinearity import psi
+from diracnorm.nonlinearity import psi, psi_quadrature
 from diracnorm.spectral_core import normalized
 
 from diracnorm.subspaces import (
@@ -362,6 +363,65 @@ def test_gram_form_psi_matches_psi_of_the_normalized_field(coeffs, kind):
     assert abs(got[0] - want) <= 1e-12 * abs(want)
 
 
+@pytest.mark.parametrize("kind", sorted(_MODELS))
+def test_gram_form_psi_does_not_depend_on_the_chunk_size(monkeypatch, kind):
+    import diracnorm.subspaces as subspaces
+
+    fields, _ = _plus_span(3, 4.0)
+    grid = fields[0].space.grid
+    gram = np.array([[l2_inner(p, q) for q in fields] for p in fields])
+    pointwise = _pointwise_gram(fields)
+    # 26 rows: the default 18-row chunk at 12^3 and the 5-row one both leave a partial chunk
+    samples = sphere_samples(3, 20)
+    default = _sphere_psi(_MODELS[kind], grid, gram, pointwise, samples, 0.2)
+    # the densities as the per-row three-operand contraction, the reference
+    want = np.array([psi_quadrature(_MODELS[kind], grid, 0.04 * np.einsum(
+        "i,j,ijxyz->xyz", c, c, pointwise) / (c @ gram @ c), squared=True) for c in samples])
+    for values in (1, grid.n_per_axis**3, 5 * grid.n_per_axis**3):
+        monkeypatch.setattr(subspaces, "_PSI_CHUNK_VALUES", values)
+        got = _sphere_psi(_MODELS[kind], grid, gram, pointwise, samples, 0.2)
+        assert np.all(np.abs(got - default) <= 1e-15 * np.abs(default)), values
+    assert np.all(np.abs(default - want) <= 1e-15 * np.abs(want))
+
+
+@pytest.mark.parametrize("i", range(3))
+def test_a_unit_row_forms_its_basis_field_exactly(monkeypatch, i):
+    import diracnorm.subspaces as subspaces
+
+    fields, _ = _plus_span(3, 4.0)
+    seen = []
+    monkeypatch.setattr(subspaces, "evaluate_reduced", lambda model, v, **kwargs: seen.append(v)
+                        or SimpleNamespace(j_val=0.0, inner_residual=0.0))
+    # at mass a = l2_norm(p_i) the scale is exactly 1, so v is the combination as formed
+    a = l2_norm(fields[i])
+    for coeffs in (np.eye(3)[i], np.eye(i + 1)[i]):
+        subspaces._reduced_on_sphere(null_model(), subspaces._stacked(fields), coeffs, a)
+        v = seen.pop()
+        assert np.array_equal(v.hat, fields[i].hat)
+        assert np.array_equal(v.values, fields[i].values)
+
+
+def test_cmd_subspace_writes_the_same_bytes_for_one_and_two_blas_threads(tmp_path):
+    """The BLAS products of the subspace study each reduce over at most
+    k^2 = 9 terms, which OpenBLAS does not split across threads."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("grid.n_per_axis=12\nmodel.p=2.2\nmodel.q=2.2\n")
+    code = ("import sys\nfrom diracnorm.cli import main\n"
+            "sys.exit(main(['subspace', '--config', sys.argv[1], '--output', sys.argv[2], "
+            "'--quiet']))\n")
+    written = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        run = subprocess.run([sys.executable, "-c", code, str(cfg), str(out)], env=env,
+                             capture_output=True, text=True, timeout=300)
+        assert run.returncode == 0, run.stderr
+        written.append({f.name: f.read_bytes() for f in sorted(out.iterdir())})
+    assert "subspace.csv" in written[0]
+    assert written[0] == written[1]
+
+
 def _spy_on_evaluate(monkeypatch):
     """Record the state of every evaluate_reduced call made by subspaces."""
     import diracnorm.subspaces as subspaces
@@ -391,7 +451,8 @@ def test_sphere_value_is_a_certified_upper_end_of_j(coeffs, kind):
     model, a = _MODELS[kind], 0.1
     with pytest.MonkeyPatch.context() as monkeypatch:
         states = _spy_on_evaluate(monkeypatch)
-        upper = subspaces._reduced_on_sphere(model, fields, np.array(coeffs), a)
+        upper = subspaces._reduced_on_sphere(model, subspaces._stacked(fields),
+                                             np.array(coeffs), a)
     (loose,) = states
     tight = evaluate_reduced(model, loose.v, tol=1e-12 * a, need_gradient=False).j_val
     # J(w_k) <= J <= upper end, up to the rounding of the two values
@@ -439,7 +500,8 @@ def test_a_sphere_value_settles_only_below_its_bound(coeffs, kind, shift):
     bound = 0.5 * e_norm(v) ** 2 - psi(model, v) + shift
     with pytest.MonkeyPatch.context() as monkeypatch:
         states = _spy_on_evaluate(monkeypatch)
-        upper = subspaces._reduced_on_sphere(model, fields, np.array(coeffs), a, bound)
+        upper = subspaces._reduced_on_sphere(model, subspaces._stacked(fields),
+                                             np.array(coeffs), a, bound)
     (state,) = states
     tight = evaluate_reduced(model, state.v, tol=1e-12 * a, need_gradient=False).j_val
     assert tight <= upper + 1e-14 * abs(tight)
