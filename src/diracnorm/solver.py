@@ -48,6 +48,12 @@ from .spectral_core import (
 )
 from .subspaces import _plus_basis
 
+#: Forcing term of the line-search inner solves: each trial's minus part is
+#: maximized out to max(tol_inner * a, _INNER_FORCING * |grad|_E), as tightly
+#: as the outer gradient at the start of the step needs (inexact Newton;
+#: Dembo, Eisenstat and Steihaug 1982).  Zero solves every trial to tol_inner.
+_INNER_FORCING = 0.1
+
 
 class DescentStallError(RuntimeError):
     """Armijo backtracking failed repeatedly; carries the last record."""
@@ -68,6 +74,10 @@ class SolverOptions:
     step_init is both the first trial step of the outer line search and the
     cap on later ones: each search opens at min(2 * last accepted step,
     step_init).
+
+    tol_inner (relative to a) bounds the inner residual of every state that
+    ends a descent or feeds a record, and is the floor of each line-search
+    trial's inner tolerance (see minimize_on_sphere).
     """
 
     tol_grad: float = 5e-8
@@ -342,6 +352,15 @@ def minimize_on_sphere(
     riesz_plus lifts and per-mode rescalings of plus fields.  A trial whose
     warm-start fiber energy already fails the Armijo test is rejected
     without an inner solve (see inner_maximize).
+
+    Every other trial is inner-solved to max(tol_inner a, _INNER_FORCING
+    |grad|_E) only, and decided on the certified interval [j_val, j_val +
+    r^2 / (2 mu)] of its J, r its inner residual and mu = CONCAVITY_MARGIN:
+    accepted when the upper end passes the Armijo test, rejected when the
+    lower end fails, and finished to tol_inner when only the lower end
+    passes.  A loosely solved state that would end the descent (converged,
+    budget exhausted, stalled) is first re-solved to tol_inner at its own
+    sphere point, so the record and history[-1] read a tight state.
     """
     space = v0.space
     m = space.mass
@@ -376,7 +395,19 @@ def minimize_on_sphere(
     stall = exhausted = None
     while True:
         gnorm = e_norm(grad)
-        if gnorm <= tol:
+        ends = stall is not None or gnorm <= tol or iterations == opts.max_outer
+        if ends and state.inner_residual > tol_inner_abs:
+            # a loosely solved state neither ends a descent nor feeds the
+            # record: finish its inner solve and test again
+            state = attach_gradient(evaluate_reduced(
+                model, v, tol=tol_inner_abs, w0=state.w, max_iter=opts.max_inner,
+                need_gradient=False,
+            ))
+            obj = state.j_val + penalty
+            history[-1] = state.j_val
+            grad = _search_direction(state, centers, dist_sq, strength)
+            continue
+        if stall is not None or gnorm <= tol:
             break
         if iterations == opts.max_outer:
             exhausted = (
@@ -398,7 +429,7 @@ def minimize_on_sphere(
             if not in_plus_cone(v_try):
                 step *= 0.5
                 continue
-            penalty, dist_sq = _penalty(v_try, centers, strength)
+            penalty_try, dist_sq_try = _penalty(v_try, centers, strength)
             armijo = obj - opts.armijo_c * step * threshold
             # a rejected trial (and the f(|u|)u it carries) is not held
             # through the next evaluation
@@ -406,21 +437,32 @@ def minimize_on_sphere(
             state_try = evaluate_reduced(
                 model,
                 v_try,
-                tol=tol_inner_abs,
+                tol=max(tol_inner_abs, _INNER_FORCING * gnorm),
                 w0=state.w,
                 max_iter=opts.max_inner,
                 need_gradient=False,
-                reject_above=armijo - penalty,
+                reject_above=armijo - penalty_try,
             )
             if state_try is not None:
-                obj_try = state_try.j_val + penalty
+                obj_try = state_try.j_val + penalty_try
+                # J(v_try) lies in [j_val, j_val + r^2 / (2 mu)]; a state
+                # solved to tol_inner is taken as exact
+                r = state_try.inner_residual
+                upper = obj_try + r * r / (2.0 * CONCAVITY_MARGIN)
+                if r > tol_inner_abs and obj_try <= armijo < upper:
+                    # only the lower end passes: decide on the finished solve
+                    state_try = evaluate_reduced(
+                        model, v_try, tol=tol_inner_abs, w0=state_try.w,
+                        max_iter=opts.max_inner, need_gradient=False,
+                    )
+                    obj_try = state_try.j_val + penalty_try
                 if obj_try <= armijo:
                     accepted = True
                     break
             step *= 0.5
         if not accepted or step < 1e-13:
             stall = f"line search made no certifiable progress at step {step:.3e}"
-            break
+            continue
         # decreases at rounding level cannot be distinguished from noise;
         # a run of them means the tolerance sits below the certifiable floor
         stagnant = stagnant + 1 if obj - obj_try < 1e-15 * max(abs(obj), 1e-6) else 0
@@ -429,8 +471,9 @@ def minimize_on_sphere(
                 f"objective decreases stayed at rounding level for {stagnant} "
                 f"steps (gradient norm {gnorm:.3e}, tol {tol:.3e})"
             )
-            break
+            continue
         state_new = attach_gradient(state_try)
+        penalty, dist_sq = penalty_try, dist_sq_try
         grad_new = _search_direction(state_new, centers, dist_sq, strength)
         qn.push(state_new.v - v, grad_new - grad)
         v, state, grad, obj = state_new.v, state_new, grad_new, obj_try

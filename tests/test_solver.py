@@ -402,6 +402,102 @@ def test_warm_start_rejection_leaves_every_line_search_decision(space12, monkeyp
     _assert_records_bit_equal(got, want)
 
 
+def _tight_records(monkeypatch, run):
+    """The (state, record) pairs _build_record sees while run() executes."""
+    seen = []
+    build = solver_module._build_record
+
+    def spying(model, state, *args, **kwargs):
+        rec = build(model, state, *args, **kwargs)
+        seen.append((state, rec))
+        return rec
+
+    monkeypatch.setattr(solver_module, "_build_record", spying)
+    run()
+    return seen
+
+
+@pytest.mark.parametrize("case", ["converged", "max_outer=1", "max_outer=2", "max_outer=3",
+                                  "multi"])
+def test_records_read_only_tightly_solved_states(space12, monkeypatch, case):
+    """Loosely solved line-search trials never end a descent: every record is
+    built from a state solved to tol_inner and matches a fresh tight solve."""
+    model, a = pure_power(2.5), 0.1
+    opts = SolverOptions()
+    if case.startswith("max_outer"):
+        opts = SolverOptions(max_outer=int(case.split("=")[1]))
+    v0 = default_initial_guess(space12, model, a)
+    if case == "multi":
+        seen = _tight_records(
+            monkeypatch, lambda: multi_start_deflated(model, a, 2, opts, space12))
+    else:
+        seen = _tight_records(monkeypatch, lambda: minimize_on_sphere(model, a, v0, opts))
+    assert seen
+    for state, rec in seen:
+        assert state.inner_residual <= opts.tol_inner * a
+        fresh = evaluate_reduced(model, rec.v_star, tol=opts.tol_inner * a)
+        assert abs(rec.omega - fresh.kappa_val) <= 1e-9
+        assert abs(rec.j_level - fresh.j_val) <= 1e-9
+        assert rec.history[-1] == rec.j_level
+
+
+@pytest.mark.parametrize(
+    "model, a",
+    [(pure_power(2.5), 0.1), (pure_power(2.5), 0.24), (two_power(2.2, 2.8), 0.1)],
+    ids=["pure_power-0.1", "pure_power-0.24", "two_power-0.1"],
+)
+def test_the_forcing_term_keeps_the_answer(space12, monkeypatch, model, a):
+    """Trials solved to the forcing tolerance reach the same solution, in the
+    same outer steps, as trials all solved to tol_inner, with less inner work."""
+    opts = SolverOptions()
+    v0 = default_initial_guess(space12, model, a)
+    evaluate = solver_module.evaluate_reduced
+    forcing_default = solver_module._INNER_FORCING
+
+    def run(forcing):
+        tols, iters = [], []
+
+        def spying(*args, tol=None, **kwargs):
+            tols.append(tol)
+            state = evaluate(*args, tol=tol, **kwargs)
+            if state is not None:
+                iters.append(state.inner_iterations)
+            return state
+
+        monkeypatch.setattr(solver_module, "_INNER_FORCING", forcing)
+        monkeypatch.setattr(solver_module, "evaluate_reduced", spying)
+        return minimize_on_sphere(model, a, v0, opts), tols, sum(iters)
+
+    tight, tight_tols, tight_iters = run(0.0)
+    loose, loose_tols, loose_iters = run(forcing_default)
+    assert tight.converged and loose.converged
+    assert loose.iterations == tight.iterations
+    assert abs(loose.omega - tight.omega) <= 1e-9
+    assert all(t == opts.tol_inner * a for t in tight_tols)
+    assert all(t >= opts.tol_inner * a for t in loose_tols)
+    assert any(t > opts.tol_inner * a for t in loose_tols)
+    assert loose_iters < tight_iters
+
+
+def test_a_trial_passing_only_on_its_lower_end_is_finished(space12, monkeypatch):
+    """With a vanishing concavity margin no loose trial's upper end of J
+    passes the Armijo test, so every accepted step is a finished solve."""
+    model, a = pure_power(2.5), 0.1
+    opts = SolverOptions()
+    accepted = []
+    attach = solver_module.attach_gradient
+
+    def spying(state):
+        accepted.append(state.inner_residual)
+        return attach(state)
+
+    monkeypatch.setattr(solver_module, "CONCAVITY_MARGIN", 1e-300)
+    monkeypatch.setattr(solver_module, "attach_gradient", spying)
+    rec = minimize_on_sphere(model, a, default_initial_guess(space12, model, a), opts)
+    assert rec.converged and accepted
+    assert all(r <= opts.tol_inner * a for r in accepted)
+
+
 SPACE12 = DiracSpace(Grid(12, 12.0), 1.0)
 
 
