@@ -28,7 +28,6 @@ from .reduction import (
     pde_residual,
 )
 from .solver import (
-    DescentStallError,
     MultiResult,
     SolutionRecord,
     SolverOptions,

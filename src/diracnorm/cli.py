@@ -48,7 +48,6 @@ import numpy as np
 from .invariants import check_all
 from .nonlinearity import NonlinearModel
 from .solver import (
-    DescentStallError,
     SolverOptions,
     SolutionRecord,
     bifurcation_sweep,
@@ -279,6 +278,8 @@ def load_field_snapshot(path: str | Path) -> tuple[SpinorField, float]:
         n_text, box_text, mass_text, a_text = header[len(SNAPSHOT_MAGIC):].split()
         n, mass, a = int(n_text), float(mass_text), float(a_text)
         grid = Grid(n, float(box_text))
+        if not 0 < a < np.inf:
+            raise ValueError(f"a={a_text} violates 0 < a < inf")
     except ValueError as exc:
         raise ValueError(f"{malformed}: {exc}") from exc
     # the size is checked before DiracSpace allocates its n³ multiplier arrays
@@ -297,7 +298,7 @@ def load_field_snapshot(path: str | Path) -> tuple[SpinorField, float]:
     return SpinorField(space, values), a
 
 
-def record_to_dict(rec: SolutionRecord, cfg: RunConfig, snapshot_name: str | None) -> dict:
+def record_to_dict(rec: SolutionRecord, cfg: RunConfig, snapshot_name: str) -> dict:
     m = cfg.mass
     return {
         "a": rec.a,
@@ -357,13 +358,9 @@ def cmd_check(cfg: RunConfig, space: DiracSpace, out_dir: Path, quiet: bool) -> 
 
 
 def cmd_solve(cfg: RunConfig, space: DiracSpace, out_dir: Path, quiet: bool) -> int:
-    try:
-        rec = solve_normalized(cfg.model, cfg.solve_a, space, cfg.solver)
-        snapshot = "solution.field"
-        save_field_snapshot(out_dir / snapshot, rec.u, rec.a)
-    except DescentStallError as err:
-        rec = err.record
-        snapshot = None
+    rec = solve_normalized(cfg.model, cfg.solve_a, space, cfg.solver)
+    snapshot = "solution.field"
+    save_field_snapshot(out_dir / snapshot, rec.u, rec.a)
     (out_dir / "solution.json").write_text(dump_json(record_to_dict(rec, cfg, snapshot)))
     if not rec.converged:
         failed = "failed criteria: " + ", ".join(rec.failed_criteria)

@@ -55,29 +55,22 @@ from .subspaces import _plus_basis
 _INNER_FORCING = 0.1
 
 
-class DescentStallError(RuntimeError):
-    """Armijo backtracking failed repeatedly; carries the last record."""
-
-    def __init__(self, message: str, record: "SolutionRecord"):
-        super().__init__(message)
-        self.record = record
-
-
 @dataclass(frozen=True)
 class SolverOptions:
-    """Knobs of the outer/inner solves.  a_max=None calibrates at first use.
+    """Knobs of the outer/inner solves, one line per field.
 
-    tol_grad is relative to the mass a.  The practical floor of a monotone
-    line search sits near sqrt(eps * J) ~ 1.5e-8 * a in double precision, so
-    tolerances below ~2e-8 cannot be certified by descent.
+    tol_grad            outer stop: sphere-tangent gradient e-norm <= tol_grad * a
+    tol_inner           inner residual / a of a state that ends a descent or feeds a record
+    max_outer           outer iteration budget of one descent
+    max_inner           inner ascent iteration budget of one reduced evaluation
+    step_init           first trial step of the line search; later ones open at min(2 * last, this)
+    armijo_c            sufficient-decrease constant of the Armijo test, in (0, 1)
+    a_max               validated small-mass threshold a solve may not exceed; None calibrates it
+    deflation_strength  multi-start penalty weight, strength / |v - v_i|_2^2 per found point v_i
+    seed                seed of the a_max calibration, the random multi-starts and the checks
 
-    step_init is both the first trial step of the outer line search and the
-    cap on later ones: each search opens at min(2 * last accepted step,
-    step_init).
-
-    tol_inner (relative to a) bounds the inner residual of every state that
-    ends a descent or feeds a record, and is the floor of each line-search
-    trial's inner tolerance (see minimize_on_sphere).
+    tol_inner also floors each line-search trial's inner tolerance (see minimize_on_sphere).  A
+    tol_grad below ~2e-8 is not certifiable: the descent floor is sqrt(eps * J) ~ 1.5e-8 * a.
     """
 
     tol_grad: float = 5e-8
@@ -343,8 +336,10 @@ def minimize_on_sphere(
     The objective decreases monotonically (Armijo); each accepted step is
     retracted exactly back to the sphere.  Once the level drops below
     m a^2 / 2 the e-norm cap (m + a^((p-2)/2)) a^2 is asserted on every later
-    iterate; violation signals a mass outside the small regime.  The record's
-    iterations are the completed steps, or max_outer, or the stalled step.
+    iterate; violation signals a mass outside the small regime.  The record
+    comes back on every exit; stall_reason says why an unconverged descent
+    stopped (budget exhausted or stalled).  Its iterations are the completed
+    steps, or max_outer, or the stalled step.
 
     v0 must be a plus field, as default_initial_guess, prolong and the
     multi-start fields are (a minus part above 1e-10 a is refused); every
@@ -392,10 +387,10 @@ def minimize_on_sphere(
     qn = _QuasiNewton(space)
     grad = _search_direction(state, centers, dist_sq, strength)
     iterations = stagnant = 0
-    stall = exhausted = None
+    reason = None
     while True:
         gnorm = e_norm(grad)
-        ends = stall is not None or gnorm <= tol or iterations == opts.max_outer
+        ends = reason is not None or gnorm <= tol or iterations == opts.max_outer
         if ends and state.inner_residual > tol_inner_abs:
             # a loosely solved state neither ends a descent nor feeds the
             # record: finish its inner solve and test again
@@ -407,13 +402,12 @@ def minimize_on_sphere(
             history[-1] = state.j_val
             grad = _search_direction(state, centers, dist_sq, strength)
             continue
-        if stall is not None or gnorm <= tol:
-            break
-        if iterations == opts.max_outer:
-            exhausted = (
-                f"outer budget max_outer={opts.max_outer} exhausted at gradient "
-                f"norm {gnorm:.3e} (tol {tol:.3e})"
-            )
+        if ends:
+            if reason is None and gnorm > tol:
+                reason = (
+                    f"outer budget max_outer={opts.max_outer} exhausted at gradient "
+                    f"norm {gnorm:.3e} (tol {tol:.3e})"
+                )
             break
         iterations += 1
         direction, threshold = qn.descent(state, grad, gnorm)
@@ -461,13 +455,13 @@ def minimize_on_sphere(
                     break
             step *= 0.5
         if not accepted or step < 1e-13:
-            stall = f"line search made no certifiable progress at step {step:.3e}"
+            reason = f"line search made no certifiable progress at step {step:.3e}"
             continue
         # decreases at rounding level cannot be distinguished from noise;
         # a run of them means the tolerance sits below the certifiable floor
         stagnant = stagnant + 1 if obj - obj_try < 1e-15 * max(abs(obj), 1e-6) else 0
         if stagnant >= 10:
-            stall = (
+            reason = (
                 f"objective decreases stayed at rounding level for {stagnant} "
                 f"steps (gradient norm {gnorm:.3e}, tol {tol:.3e})"
             )
@@ -487,13 +481,9 @@ def minimize_on_sphere(
         # a quasi-Newton step has natural length one: never open a search
         # above step_init, where a trial is rejected and its inner solve wasted
         step = min(2.0 * step, opts.step_init)
-    reason = stall or exhausted
-    record = _build_record(
+    return _build_record(
         model, state, opts, iterations, reason is None, history, stall_reason=reason
     )
-    if stall is not None:
-        raise DescentStallError(stall, record)
-    return record
 
 
 #: Smallest grid a coarse-to-fine solve descends to (see solve_normalized).
@@ -513,34 +503,13 @@ def solve_normalized(
         v0 = default_initial_guess(space, model, a)
     else:
         coarse_space = DiracSpace(replace(space.grid, n_per_axis=n // 2), space.mass)
-        try:
-            coarse = solve_normalized(model, a, coarse_space, opts)
-        except DescentStallError as err:
-            coarse = err.record
+        coarse = solve_normalized(model, a, coarse_space, opts)
         omega_coarse = coarse.omega if coarse.converged else None
         # the symbol agrees on the shared modes, so the plus field stays plus
         v0 = normalized(prolong(coarse.v_star, space), a)
-    try:
-        rec = minimize_on_sphere(model, a, v0, opts)
-    except DescentStallError as err:
-        err.record.omega_coarse = omega_coarse
-        raise
+    rec = minimize_on_sphere(model, a, v0, opts)
     rec.omega_coarse = omega_coarse
     return rec
-
-
-def _record(
-    model: NonlinearModel,
-    a: float,
-    v0: SpinorField,
-    opts: SolverOptions,
-    centers: list[SpinorField] | None = None,
-) -> SolutionRecord:
-    """minimize_on_sphere's record, also when the descent stalls."""
-    try:
-        return minimize_on_sphere(model, a, v0, opts, deflation_centers=centers)
-    except DescentStallError as err:
-        return err.record
 
 
 def extract_solution(
@@ -588,7 +557,7 @@ def bifurcation_sweep(
     records: list[SolutionRecord] = []
     for a in a_values:
         v_prev = records[-1].v_star if records else default_initial_guess(space, model, a)
-        records.append(_record(model, a, normalized(v_prev, a), opts))
+        records.append(minimize_on_sphere(model, a, normalized(v_prev, a), opts))
     fit_valid = all(r.converged for r in records)
     slope = None
     gap_constant = None
@@ -678,12 +647,13 @@ def multi_start_deflated(
     all_records: list[SolutionRecord] = []
     verified: list[SolutionRecord] = []
     for v0 in starts:
-        rec = _record(model, a, v0, opts_deflated if centers else opts, centers)
+        rec = minimize_on_sphere(model, a, v0, opts_deflated if centers else opts,
+                                 deflation_centers=centers)
         all_records.append(rec)
         ver = rec
         if centers or not rec.converged:
             # the record carries the outer iterations of the search and the polish
-            ver = _record(model, a, rec.v_star, opts)
+            ver = minimize_on_sphere(model, a, rec.v_star, opts)
             ver.iterations += rec.iterations
         if ver.converged:
             verified.append(ver)

@@ -163,8 +163,8 @@ class DiracSpace:
     """
 
     def __init__(self, grid: Grid, mass: float):
-        if not mass > 0:
-            raise ValueError("DiracSpace requires mass > 0")
+        if not 0 < mass < np.inf:
+            raise ValueError("DiracSpace requires 0 < mass < inf")
         self.grid = grid
         self.mass = float(mass)
         k = grid.freq_axis

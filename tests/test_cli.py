@@ -125,6 +125,20 @@ def test_snapshot_rejects_a_short_header_naming_it(tmp_path, rng):
         load_field_snapshot(path)
 
 
+@pytest.mark.parametrize("values, condition", [
+    ("1 nan", "a=nan violates 0 < a < inf"),
+    ("1 -3", "a=-3 violates 0 < a < inf"),
+    ("inf 0.1", "DiracSpace requires 0 < mass < inf"),
+])
+def test_snapshot_rejects_a_header_mass_or_a_out_of_range(tmp_path, rng, values, condition):
+    path, blob = _snapshot_bytes(tmp_path, rng)
+    header = f"DIRACNORM v1 8 6 {values}"
+    path.write_bytes(header.encode().ljust(63) + b"\n" + blob[64:])
+    with pytest.raises(ValueError, match=rf"{re.escape(str(path))}: snapshot header "
+                                         rf"'{header}' is not .*: {condition}$"):
+        load_field_snapshot(path)
+
+
 def test_snapshot_size_is_checked_before_the_space_is_built(tmp_path, monkeypatch):
     # a header claiming a huge grid must not allocate its n³ arrays
     import diracnorm.cli as cli
@@ -456,6 +470,23 @@ def test_cmd_solve_names_an_exhausted_outer_budget(tmp_path):
     assert rec["converged"] is False
     assert rec["stall_reason"].startswith("outer budget max_outer=2 exhausted at gradient norm")
     assert rec["stall_reason"] in (out / "diagnostics.txt").read_text()
+
+
+def test_cmd_solve_writes_the_record_and_snapshot_of_a_stalled_descent(tmp_path):
+    import json
+
+    # a tolerance under the line-search floor stalls the descent before its budget
+    out = tmp_path / "out"
+    cfg = _write(tmp_path, "grid.n_per_axis=12\ngrid.box_length=12.0\nsolver.tol_grad=1e-15\n"
+                           f"solver.max_outer=300\noutput.dir={out}\n")
+    assert main(["solve", "--config", cfg, "--quiet"]) == 1
+    rec = json.loads((out / "solution.json").read_text())
+    assert rec["converged"] is False
+    assert rec["stall_reason"] and not rec["stall_reason"].startswith("outer budget")
+    assert rec["stall_reason"] in (out / "diagnostics.txt").read_text()
+    assert rec["snapshot"] == "solution.field"
+    field, a = load_field_snapshot(out / rec["snapshot"])
+    assert abs(l2_norm(field) - a) <= 1e-9 * a
 
 
 def test_cmd_solve_names_the_failed_criteria(tmp_path):

@@ -18,20 +18,18 @@ from diracnorm import (
 )
 from diracnorm.cli import main, parse_config
 from diracnorm.reduction import InnerConvergenceError, minus_ball_radius, sample_concavity
-from diracnorm.solver import DescentStallError, default_initial_guess
+from diracnorm.solver import default_initial_guess
 from diracnorm.spectral_core import constant_field, plane_wave, random_field
 
 
 def test_stall_below_noise_floor_carries_record(space12):
     # a tolerance under the double-precision line-search floor cannot be
-    # certified; the stall error must still hand back the last record
+    # certified; the stalled descent must still hand back the last record
     model = pure_power(2.5)
     a = 0.1
     opts = SolverOptions(tol_grad=1e-15, max_outer=300)
     v0 = default_initial_guess(space12, model, a)
-    with pytest.raises(DescentStallError) as err:
-        minimize_on_sphere(model, a, v0, opts)
-    rec = err.value.record
+    rec = minimize_on_sphere(model, a, v0, opts)
     assert rec.j_level < 0.5 * space12.mass * a * a
     assert rec.omega < space12.mass
     assert not rec.converged
