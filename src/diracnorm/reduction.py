@@ -115,17 +115,19 @@ class _Fiber:
 
     A minus field w of None is the cold start w = 0: there u = v with
     coefficient 1, so no array is formed and v's grid values are used when
-    it holds them.
+    it holds them.  A caller that already took (l2_norm(v), e_norm(v))
+    passes them as v_norms.
     """
 
-    def __init__(self, model: NonlinearModel, v: SpinorField):
+    def __init__(self, model: NonlinearModel, v: SpinorField,
+                 v_norms: tuple[float, float] | None = None):
         self.model = model
         self.v = v
         self.space = v.space
-        self.a = l2_norm(v)
+        self.a, env = (l2_norm(v), e_norm(v)) if v_norms is None else v_norms
         if self.a == 0.0:
             raise DomainError("fiber base field must be nonzero")
-        self.env2 = e_norm(v) ** 2
+        self.env2 = env**2
         self.radius = minus_ball_radius(self.space, self.a)
 
     @functools.cached_property
@@ -238,6 +240,7 @@ def inner_maximize(
     max_iter: int = 500,
     reject_above: float | None = None,
     certify_below: float | None = None,
+    v_norms: tuple[float, float] | None = None,
 ) -> ReducedState | None:
     """Maximize the fiber energy over the admissible minus ball.
 
@@ -258,8 +261,10 @@ def inner_maximize(
     allowed, once its upper end J(w_k) + e_norm(g)^2 / (2 mu) = j_val +
     inner_residual^2 / (2 mu) is at most certify_below and the boundary test
     passes there: then J(v) <= certify_below is certain.
+
+    v_norms, when given, is (l2_norm(v), e_norm(v)), already taken by the caller.
     """
-    fiber = _Fiber(model, v)
+    fiber = _Fiber(model, v, v_norms)
     if tol is None:
         tol = 1e-9 * fiber.a
     guard = fiber.radius * (1.0 - _BALL_GUARD)
@@ -360,7 +365,9 @@ def tangent_project(
     """
     s = riesz_plus(v) if riesz_v is None else riesz_v
     mu = l2_inner(v, raw) / l2_inner(v, s)
-    return raw - mu * s
+    out = np.multiply(s.hat, mu)
+    np.subtract(raw.hat, out, out=out)
+    return SpinorField.from_hat(v.space, out)
 
 
 def attach_gradient(state: ReducedState) -> ReducedState:
@@ -393,13 +400,16 @@ def evaluate_reduced(
     need_gradient: bool = True,
     reject_above: float | None = None,
     certify_below: float | None = None,
+    v_norms: tuple[float, float] | None = None,
 ) -> ReducedState | None:
     """inner_maximize at v, with the sphere-tangent gradient attached when asked;
     None when inner_maximize rejects v against reject_above.  With
     certify_below, the state may stop short of tol once its certified upper
-    end of J is at most certify_below (see inner_maximize)."""
+    end of J is at most certify_below; v_norms is (l2_norm(v), e_norm(v)) when
+    the caller holds them (see inner_maximize)."""
     state = inner_maximize(model, v, tol=tol, w0=w0, max_iter=max_iter,
-                           reject_above=reject_above, certify_below=certify_below)
+                           reject_above=reject_above, certify_below=certify_below,
+                           v_norms=v_norms)
     if state is None or not need_gradient:
         return state
     return attach_gradient(state)

@@ -250,17 +250,22 @@ class _QuasiNewton:
         self, state: ReducedState, grad: SpinorField, gnorm: float
     ) -> tuple[SpinorField, float]:
         """Search direction, of positive slope for a tangent grad, and its Armijo
-        threshold max(slope, gnorm^2), which also certifies the plain-gradient law."""
-        q = grad
+        threshold max(slope, gnorm^2), which also certifies the plain-gradient law.
+
+        Both loops update one copy of grad's coefficients in place, through
+        one scratch array; grad and the pairs are left as they are."""
+        q_hat = grad.hat.copy()
+        q = SpinorField.from_hat(self.space, q_hat)
+        tmp = np.empty_like(q_hat)
         alphas: list[float] = []
         for s, y, rho in reversed(self.pairs):
             alpha = rho * e_inner(s, q)
-            q = q - alpha * y
+            q_hat -= np.multiply(y.hat, alpha, out=tmp)
             alphas.append(alpha)
-        q = SpinorField.from_hat(self.space, q.hat * _spectral_scale(self.space, state.kappa_val))
+        q_hat *= _spectral_scale(self.space, state.kappa_val)
         for (s, y, rho), alpha in zip(self.pairs, reversed(alphas)):
             beta = rho * e_inner(y, q)
-            q = q + (alpha - beta) * s
+            q_hat += np.multiply(s.hat, alpha - beta, out=tmp)
         direction = tangent_project(state.v, q, state.riesz_v)
         return direction, max(e_inner(direction, grad), gnorm * gnorm)
 
@@ -364,7 +369,7 @@ def minimize_on_sphere(
     if abs(nv - a) > 1e-6 * a:
         raise ValueError(f"v0 must lie on the mass sphere: l2_norm(v0)={nv:g}, a={a:g}")
     v = v0 * (a / nv)
-    if not in_plus_cone(v):
+    if not in_plus_cone(l2_norm(v), e_norm(v), m):
         raise ValueError("v0 leaves the admissible cone e_norm < sqrt(m+1) l2_norm")
     minus = l2_norm(SpinorField.from_hat(space, space.minus_hat(v.hat)))
     if minus > 1e-10 * a:
@@ -419,8 +424,13 @@ def minimize_on_sphere(
                 qn.pairs.clear()
                 direction, threshold = qn.descent(state, grad, gnorm)
                 step = opts.step_init
-            v_try = normalized(v - step * direction, a)
-            if not in_plus_cone(v_try):
+            # v - step * direction, retracted to the sphere, on one array
+            try_hat = direction.hat * -step
+            try_hat += v.hat
+            v_try = SpinorField.from_hat(space, try_hat)
+            try_hat *= a / l2_norm(v_try)
+            norms = l2_norm(v_try), e_norm(v_try)
+            if not in_plus_cone(*norms, m):
                 step *= 0.5
                 continue
             penalty_try, dist_sq_try = _penalty(v_try, centers, strength)
@@ -436,6 +446,7 @@ def minimize_on_sphere(
                 max_iter=opts.max_inner,
                 need_gradient=False,
                 reject_above=armijo - penalty_try,
+                v_norms=norms,
             )
             if state_try is not None:
                 obj_try = state_try.j_val + penalty_try
@@ -447,7 +458,7 @@ def minimize_on_sphere(
                     # only the lower end passes: decide on the finished solve
                     state_try = evaluate_reduced(
                         model, v_try, tol=tol_inner_abs, w0=state_try.w,
-                        max_iter=opts.max_inner, need_gradient=False,
+                        max_iter=opts.max_inner, need_gradient=False, v_norms=norms,
                     )
                     obj_try = state_try.j_val + penalty_try
                 if obj_try <= armijo:

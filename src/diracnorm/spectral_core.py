@@ -223,6 +223,16 @@ class DiracSpace:
         """The per-mode multipliers -1/lambda and 1/(2 lambda)."""
         return -1.0 / self.lam, 0.5 / self.lam
 
+    # Per-mode weights of the pairings, each repeated for the real and the
+    # imaginary part of a coefficient (see _mode_pairing); built on first use.
+    @cached_property
+    def _lam_pairing(self) -> ArrayF:
+        return np.repeat(self.lam.ravel(), 2)
+
+    @cached_property
+    def _hhalf_pairing(self) -> ArrayF:
+        return np.repeat(self.hhalf_weight.ravel(), 2)
+
     def riesz_minus_hat(self, hat: ArrayC) -> ArrayC:
         """Minus projection divided by lambda: (x - symbol(x)/lambda)/(2 lambda),
         in place on the symbol's output, with no temporary."""
@@ -323,23 +333,34 @@ def l2_norm(u: SpinorField) -> float:
     return float(np.sqrt(u.space.grid.cell_volume * _real_dot(u.hat, u.hat)))
 
 
+def _float_rows(hat: ArrayC) -> ArrayF:
+    """The coefficients as a (4, 2 n^3) float64 view: per mode, real then imaginary part."""
+    return np.ascontiguousarray(hat).reshape(len(hat), -1).view(np.float64)
+
+
 def _mode_pairing(u: SpinorField, v: SpinorField, weight: ArrayF) -> float:
-    """Real part of sum_xi weight(xi) u_hat(xi) . conj(v_hat(xi)), times the cell volume."""
-    return u.space.grid.cell_volume * _real_dot(weight * u.hat, v.hat)
+    """Real part of sum_xi weight(xi) u_hat(xi) . conj(v_hat(xi)), times the cell volume.
+
+    ``weight`` holds each mode's weight twice (DiracSpace._lam_pairing): the
+    four components are summed per real number, then weighted in one dot, so
+    no weighted copy of a field is formed.  Both are einsum passes without
+    BLAS, and swapping u and v gives the same bits."""
+    per_mode = np.einsum("cj,cj->j", _float_rows(u.hat), _float_rows(v.hat))
+    return u.space.grid.cell_volume * float(np.einsum("j,j->", per_mode, weight))
 
 
 def e_inner(u: SpinorField, v: SpinorField) -> float:
     """Form-domain inner product: each mode weighted by lambda(xi)."""
-    return _mode_pairing(u, v, u.space.lam)
+    return _mode_pairing(u, v, u.space._lam_pairing)
 
 
 def e_norm(u: SpinorField) -> float:
-    return float(np.sqrt(_mode_pairing(u, u, u.space.lam)))
+    return float(np.sqrt(_mode_pairing(u, u, u.space._lam_pairing)))
 
 
 def h_half_norm(u: SpinorField) -> float:
     """Multiplier norm with weight sqrt(1 + |xi|^2)."""
-    return float(np.sqrt(_mode_pairing(u, u, u.space.hhalf_weight)))
+    return float(np.sqrt(_mode_pairing(u, u, u.space._hhalf_pairing)))
 
 
 def split(u: SpinorField) -> SpectralSplit:
@@ -370,9 +391,10 @@ def riesz_minus(u: SpinorField) -> SpinorField:
     return SpinorField.from_hat(u.space, u.space.riesz_minus_hat(u.hat))
 
 
-def in_plus_cone(u: SpinorField) -> bool:
-    """Whether e_norm(u) < sqrt(m + 1) * l2_norm(u) (the admissible open cone)."""
-    return e_norm(u) < np.sqrt(u.space.mass + 1.0) * l2_norm(u)
+def in_plus_cone(l2: float, e: float, mass: float) -> bool:
+    """Whether a field of l2_norm l2 and e_norm e lies in the admissible open
+    cone e < sqrt(m + 1) * l2; the caller keeps the norms for later use."""
+    return e < np.sqrt(mass + 1.0) * l2
 
 
 def normalized(u: SpinorField, target: float = 1.0) -> SpinorField:

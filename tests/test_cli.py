@@ -207,10 +207,23 @@ def test_cmd_check_reports_the_norm_domination_margin(tmp_path):
 
 
 def test_cmd_check_gradient_consistency_passes_at_mass_100(tmp_path):
-    """The central-difference step grows like sqrt(m), so that the derivative's
+    """The difference step grows like sqrt(m), so that the derivative's
     rounding error does not outgrow the 1e-4 bound at large mass."""
     out = tmp_path / "out"
     cfg = _write(tmp_path, f"grid.n_per_axis=12\nphysics.mass=100\noutput.dir={out}\n")
+    assert main(["check", "--config", cfg, "--quiet"]) == 0
+    (line,) = [x for x in (out / "check_report.txt").read_text().splitlines()
+               if "gradient-consistency" in x]
+    assert line.startswith("[PASS] gradient-consistency:")
+
+
+def test_cmd_check_gradient_consistency_passes_at_mass_1000(tmp_path):
+    """Richardson extrapolation of two central differences keeps the
+    derivative's error under the 1e-4 bound at m = 1000, where one central
+    difference could not balance truncation against rounding."""
+    out = tmp_path / "out"
+    cfg = _write(tmp_path, "grid.n_per_axis=12\ngrid.box_length=16\nphysics.mass=1000\n"
+                           f"output.dir={out}\n")
     assert main(["check", "--config", cfg, "--quiet"]) == 0
     (line,) = [x for x in (out / "check_report.txt").read_text().splitlines()
                if "gradient-consistency" in x]

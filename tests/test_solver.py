@@ -30,6 +30,7 @@ from diracnorm.solver import (
     _family_groups,
     _penalty,
     _search_direction,
+    _spectral_scale,
     default_initial_guess,
 )
 from diracnorm.spectral_core import (
@@ -37,6 +38,7 @@ from diracnorm.spectral_core import (
     Grid,
     SpinorField,
     gaussian_spinor,
+    l2_inner,
     normalized,
     random_field,
     riesz_plus,
@@ -555,4 +557,51 @@ def test_quasi_newton_directions_descend(seed, n_pairs, noise):
         qn.push(s, y)
     grad = state.grad_tangent
     direction, _ = qn.descent(state, grad, e_norm(grad))
+    assert e_inner(direction, grad) > 0
+
+
+def _reference_two_loop(qn, state, grad):
+    """The two-loop recursion on new fields at every step, then the tangent projection."""
+    q = grad
+    alphas = []
+    for s, y, rho in reversed(qn.pairs):
+        alpha = rho * e_inner(s, q)
+        q = q - alpha * y
+        alphas.append(alpha)
+    q = SpinorField.from_hat(SPACE12, q.hat * _spectral_scale(SPACE12, state.kappa_val))
+    for (s, y, rho), alpha in zip(qn.pairs, reversed(alphas)):
+        beta = rho * e_inner(y, q)
+        q = q + (alpha - beta) * s
+    mu = l2_inner(state.v, q) / l2_inner(state.v, state.riesz_v)
+    return q - mu * state.riesz_v
+
+
+@pytest.mark.parametrize("pushes", [0, 1, 12])
+def test_in_place_two_loop_matches_the_reference_and_keeps_its_inputs(pushes):
+    """descent works on one copy of grad: grad, the sphere point and every kept
+    pair are left bit for bit, the direction is the out-of-place recursion's,
+    and its slope is positive; 12 pushes evict the two oldest pairs."""
+    rng = np.random.default_rng(27 + pushes)
+    a = 0.1
+    v = random_field(SPACE12, rng, bandwidth=1.0, part="plus", target_l2=a)
+    state = evaluate_reduced(pure_power(2.5), v)
+    qn = _QuasiNewton(SPACE12)
+    for _ in range(pushes):
+        raw = random_field(SPACE12, rng, bandwidth=1.0, part="plus", target_l2=0.01 * a)
+        s = tangent_project(v, raw, state.riesz_v)
+        y = s + random_field(SPACE12, rng, bandwidth=1.0, part="plus",
+                             target_l2=0.1 * l2_norm(s))
+        qn.push(s, y)
+    assert len(qn.pairs) == min(pushes, 10)
+    grad = state.grad_tangent
+    before = [f.hat.tobytes() for f in (grad, state.v)]
+    before += [f.hat.tobytes() for s, y, _ in qn.pairs for f in (s, y)]
+
+    direction, _ = qn.descent(state, grad, e_norm(grad))
+
+    after = [f.hat.tobytes() for f in (grad, state.v)]
+    after += [f.hat.tobytes() for s, y, _ in qn.pairs for f in (s, y)]
+    assert after == before
+    want = _reference_two_loop(qn, state, grad)
+    assert np.max(np.abs(direction.hat - want.hat)) <= 1e-12 * np.max(np.abs(want.hat))
     assert e_inner(direction, grad) > 0

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from diracnorm import (
     ALPHA,
@@ -270,3 +272,57 @@ def test_eigen_spinor_is_unit_eigenvector(space12):
     mat = dirac_symbol_at(xi, space12.mass)
     lam = band_energy(xi, space12.mass)
     assert np.linalg.norm(mat @ chi + lam * chi) < 1e-12
+
+
+def _with_layout(u, layout):
+    """u with the same coefficients held in a C-ordered, Fortran-ordered or
+    strided (every other element of a wider array) array."""
+    if layout == "fortran":
+        return SpinorField.from_hat(u.space, np.asfortranarray(u.hat))
+    if layout == "strided":
+        wide = np.zeros(u.hat.shape[:-1] + (2 * u.hat.shape[-1],), np.complex128)
+        wide[..., ::2] = u.hat
+        return SpinorField.from_hat(u.space, wide[..., ::2])
+    return u
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.sampled_from([2, 4, 6, 8]),
+    mass=st.floats(0.1, 10.0),
+    seed=st.integers(0, 2**32 - 1),
+    layouts=st.tuples(*[st.sampled_from(["c", "fortran", "strided"])] * 2),
+)
+def test_mode_pairings_match_the_weighted_coefficient_sum(n, mass, seed, layouts):
+    """e_inner, e_norm and h_half_norm equal cell_volume * Re sum w u_hat conj(v_hat)
+    for the weights lambda and sqrt(1 + |xi|^2), whatever the arrays' layout."""
+    space = DiracSpace(Grid(n, 1.5 * n), mass)
+    rng = np.random.default_rng(seed)
+    u0, v0 = random_field(space, rng), random_field(space, rng)
+    u, v = (_with_layout(f, layout) for f, layout in zip((u0, v0), layouts))
+
+    def reference(x, y, weight):
+        return space.grid.cell_volume * float(np.sum(weight * x.hat * np.conj(y.hat)).real)
+
+    for norm, weight in ((e_norm, space.lam), (h_half_norm, space.hhalf_weight)):
+        for f, f0 in ((u, u0), (v, v0)):
+            want = np.sqrt(reference(f0, f0, weight))
+            assert abs(norm(f) - want) <= 1e-13 * want
+    scale = np.sqrt(reference(u0, u0, space.lam) * reference(v0, v0, space.lam))
+    assert abs(e_inner(u, v) - reference(u0, v0, space.lam)) <= 1e-13 * scale
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.sampled_from([2, 4, 6, 8]),
+    seed=st.integers(0, 2**32 - 1),
+    layout=st.sampled_from(["c", "fortran", "strided"]),
+)
+def test_e_inner_is_symmetric_bit_for_bit(n, seed, layout):
+    """The quasi-Newton curvature test pairs s with y and y with s; both orders
+    must give the same float."""
+    space = DiracSpace(Grid(n, 1.5 * n), 1.0)
+    rng = np.random.default_rng(seed)
+    u = _with_layout(random_field(space, rng), layout)
+    v = random_field(space, rng)
+    assert e_inner(u, v) == e_inner(v, u)
