@@ -133,9 +133,14 @@ class _Fiber:
     @functools.cached_property
     def precond(self):
         """Exact per-mode curvature of the quadratic part of the inner problem,
-        used as a diagonal preconditioner in the e-metric; built on the first
-        ascent step, so a solve that takes none never forms it."""
-        return 1.0 / (1.0 + (self.env2 / self.a**2) / self.space.lam)
+        used as a diagonal preconditioner in the e-metric, as complex numbers;
+        built on the first ascent step, so a solve that takes none never forms it."""
+        return (1.0 / (1.0 + (self.env2 / self.a**2) / self.space.lam)).astype(np.complex128)
+
+    @functools.cached_property
+    def riesz_v(self) -> SpinorField:
+        """riesz_plus(v) = v / lambda, since v is a plus field."""
+        return SpinorField.from_hat(self.space, self.v.hat * self.space._inv_lam)
 
     def parts(self, w: SpinorField | None) -> tuple[float, SpinorField]:
         """The coefficient c and the fiber point u = c v + w."""
@@ -232,6 +237,15 @@ def sample_concavity(
     return (fp - 2.0 * f0 + fm) / (t * zn) ** 2
 
 
+def forcing_tolerance(tol: float, forcing: tuple[float, float], gnorm: float) -> float:
+    """Inner tolerance of a state whose descent holds the outer gradient norm
+    gnorm, with forcing = (eta, end): max(tol, eta gnorm), the forcing term of
+    inexact Newton methods (Dembo, Eisenstat and Steihaug 1982), but tol itself
+    when eta gnorm < end, since a state so near the end may end the descent."""
+    eta, end = forcing
+    return tol if eta * gnorm < end else max(tol, eta * gnorm)
+
+
 def inner_maximize(
     model: NonlinearModel,
     v: SpinorField,
@@ -241,6 +255,7 @@ def inner_maximize(
     reject_above: float | None = None,
     certify_below: float | None = None,
     v_norms: tuple[float, float] | None = None,
+    forcing: tuple[float, float] | None = None,
 ) -> ReducedState | None:
     """Maximize the fiber energy over the admissible minus ball.
 
@@ -263,11 +278,23 @@ def inner_maximize(
     passes there: then J(v) <= certify_below is certain.
 
     v_norms, when given, is (l2_norm(v), e_norm(v)), already taken by the caller.
+
+    With forcing given, the tolerance at each iterate is forcing_tolerance(tol,
+    forcing, G), G the e-norm of the sphere-tangent gradient of J formed there
+    from c and f(|u|) u (attach_gradient's formula, no transform); the state
+    returned carries that gradient, so attach_gradient need not run on it.
     """
     fiber = _Fiber(model, v, v_norms)
     if tol is None:
         tol = 1e-9 * fiber.a
     guard = fiber.radius * (1.0 - _BALL_GUARD)
+
+    def tolerance(aux) -> tuple[float, SpinorField | None]:
+        """The iterate's tolerance and, under forcing, its sphere-tangent gradient."""
+        if forcing is None:
+            return tol, None
+        outer = _sphere_gradient(v, fiber.riesz_v, aux[0], aux[2])
+        return forcing_tolerance(tol, forcing, e_norm(outer)), outer
 
     w, wn = w0, 0.0  # wn is e_norm(w) throughout; w None: the cold start w = 0
     if w is not None:
@@ -277,15 +304,20 @@ def inner_maximize(
             wn = e_norm(w)
     # the start's grid values and |u|^2 serve both its energy and its gradient
     c0, u0 = fiber.parts(w)
-    if reject_above is not None and fiber.level(c0, wn, u0) > reject_above:
-        return None
+    level = None  # the fiber energy at w, once taken
+    if reject_above is not None:
+        level = fiber.level(c0, wn, u0)
+        if level > reject_above:
+            return None
     grad, aux = fiber.gradient(w, (c0, u0))
     gnorm = e_norm(grad)
+    tol_w, outer = tolerance(aux)
     eta = 1.0
     iterations = 0
-    while gnorm > tol and iterations < max_iter:
+    while gnorm > tol_w and iterations < max_iter:
         if certify_below is not None:
-            level = fiber.level(aux[0], wn, aux[1])
+            if level is None:
+                level = fiber.level(aux[0], wn, aux[1])
             if (level + gnorm**2 / (2 * CONCAVITY_MARGIN) <= certify_below
                     and wn + gnorm / CONCAVITY_MARGIN < 0.999 * fiber.radius):
                 break  # settled below certify_below: the tests after the loop do not apply
@@ -308,16 +340,17 @@ def inner_maximize(
             eta *= 0.5
         if not accepted:
             raise InnerConvergenceError(
-                f"inner ascent stalled at gradient norm {gnorm:.3e} (tol {tol:.3e})"
+                f"inner ascent stalled at gradient norm {gnorm:.3e} (tol {tol_w:.3e})"
             )
-        w, grad, gnorm, aux = w_try, grad_try, gn_try, aux_try
+        w, grad, gnorm, aux, level = w_try, grad_try, gn_try, aux_try, None
+        tol_w, outer = tolerance(aux)
         eta = min(1.0, eta * 1.5)
         iterations += 1
     else:
-        if gnorm > tol:
+        if gnorm > tol_w:
             raise InnerConvergenceError(
                 f"inner maximization did not converge in {max_iter} iterations "
-                f"(gradient norm {gnorm:.3e}, tol {tol:.3e})"
+                f"(gradient norm {gnorm:.3e}, tol {tol_w:.3e})"
             )
         boundary_fraction = (wn + gnorm / CONCAVITY_MARGIN) / fiber.radius
         if boundary_fraction >= 0.999:
@@ -325,12 +358,14 @@ def inner_maximize(
                 "inner maximizer reached the minus-ball boundary "
                 f"(fraction {boundary_fraction:.4f}); mass a={fiber.a:.3e} is too large"
             )
-        level = fiber.level(aux[0], wn, aux[1])
+        if level is None:
+            level = fiber.level(aux[0], wn, aux[1])
     if w is None:  # the cold start already met the tolerance or settled
         w = SpinorField.zeros(fiber.space)
     c, u, fu, kap = aux
     return ReducedState(v=v, a=fiber.a, w=w, g=u, fu=fu, fiber_coeff=c, kappa_val=kap,
-                        j_val=level, inner_residual=gnorm, inner_iterations=iterations)
+                        j_val=level, inner_residual=gnorm, inner_iterations=iterations,
+                        grad_tangent=outer, riesz_v=None if outer is None else fiber.riesz_v)
 
 
 def kappa(model: NonlinearModel, u: SpinorField) -> float:
@@ -370,6 +405,17 @@ def tangent_project(
     return SpinorField.from_hat(v.space, out)
 
 
+def _sphere_gradient(v: SpinorField, riesz_v: SpinorField, c: float,
+                     fu: SpinorField) -> SpinorField:
+    """c times the tangent projection of c v - riesz_plus(fu): the sphere-tangent
+    gradient at v of the fiber point with coefficient c and f(|u|) u = fu (see
+    attach_gradient); riesz_v is riesz_plus(v)."""
+    raw = v.hat * c
+    raw -= riesz_plus(fu).hat
+    raw *= c
+    return tangent_project(v, SpinorField.from_hat(v.space, raw), riesz_v)
+
+
 def attach_gradient(state: ReducedState) -> ReducedState:
     """Fill in the sphere-tangent gradient of the reduced value at state.v.
 
@@ -379,15 +425,11 @@ def attach_gradient(state: ReducedState) -> ReducedState:
     g = c v + w is c v, and H0 acts on a plus field as lambda, so
         riesz_plus(H0 g - f(|g|) g - kappa g) = c v - riesz_plus(f(|g|) g) - c kappa v / lambda,
     and the last term, a multiple of riesz_plus(v) = v / lambda, is what the
-    projection removes: one symbol application in all.
+    projection removes: one Riesz map in all.
     """
-    sp = state.v.space
-    c = state.fiber_coeff
-    state.riesz_v = SpinorField.from_hat(sp, state.v.hat / sp.lam)
-    raw = state.v.hat * c
-    raw -= riesz_plus(state.fu).hat
-    raw *= c
-    state.grad_tangent = tangent_project(state.v, SpinorField.from_hat(sp, raw), state.riesz_v)
+    v = state.v
+    state.riesz_v = SpinorField.from_hat(v.space, v.hat * v.space._inv_lam)
+    state.grad_tangent = _sphere_gradient(v, state.riesz_v, state.fiber_coeff, state.fu)
     return state
 
 
@@ -401,15 +443,17 @@ def evaluate_reduced(
     reject_above: float | None = None,
     certify_below: float | None = None,
     v_norms: tuple[float, float] | None = None,
+    forcing: tuple[float, float] | None = None,
 ) -> ReducedState | None:
     """inner_maximize at v, with the sphere-tangent gradient attached when asked;
     None when inner_maximize rejects v against reject_above.  With
     certify_below, the state may stop short of tol once its certified upper
     end of J is at most certify_below; v_norms is (l2_norm(v), e_norm(v)) when
-    the caller holds them (see inner_maximize)."""
+    the caller holds them; with forcing, the inner tolerance follows the
+    gradient, which the state then carries (see inner_maximize)."""
     state = inner_maximize(model, v, tol=tol, w0=w0, max_iter=max_iter,
                            reject_above=reject_above, certify_below=certify_below,
-                           v_norms=v_norms)
-    if state is None or not need_gradient:
+                           v_norms=v_norms, forcing=forcing)
+    if state is None or not need_gradient or state.grad_tangent is not None:
         return state
     return attach_gradient(state)

@@ -27,6 +27,7 @@ from .reduction import (
     SmallnessError,
     attach_gradient,
     evaluate_reduced,
+    forcing_tolerance,
     tangent_project,
 )
 from .spectral_core import (
@@ -48,10 +49,11 @@ from .spectral_core import (
 )
 from .subspaces import _plus_basis
 
-#: Forcing term of the line-search inner solves: each trial's minus part is
-#: maximized out to max(tol_inner * a, _INNER_FORCING * |grad|_E), as tightly
-#: as the outer gradient at the start of the step needs (inexact Newton;
-#: Dembo, Eisenstat and Steihaug 1982).  Zero solves every trial to tol_inner.
+#: Forcing term of the inner solves of a descent: each evaluation's minus part
+#: is maximized out to max(tol_inner * a, _INNER_FORCING * |grad|_E), as
+#: tightly as the outer gradient at hand needs (inexact Newton; Dembo,
+#: Eisenstat and Steihaug 1982; see reduction.forcing_tolerance).  Zero solves
+#: every evaluation to tol_inner.
 _INNER_FORCING = 0.1
 
 
@@ -60,7 +62,8 @@ class SolverOptions:
     """Knobs of the outer/inner solves, one line per field.
 
     tol_grad            outer stop: sphere-tangent gradient e-norm <= tol_grad * a
-    tol_inner           inner residual / a of a state that ends a descent or feeds a record
+    tol_inner           inner residual / a of a state that ends a descent or feeds a record,
+                        and the floor of every other evaluation's forcing tolerance
     max_outer           outer iteration budget of one descent
     max_inner           inner ascent iteration budget of one reduced evaluation
     step_init           first trial step of the line search; later ones open at min(2 * last, this)
@@ -69,8 +72,8 @@ class SolverOptions:
     deflation_strength  multi-start penalty weight, strength / |v - v_i|_2^2 per found point v_i
     seed                seed of the a_max calibration, the random multi-starts and the checks
 
-    tol_inner also floors each line-search trial's inner tolerance (see minimize_on_sphere).  A
-    tol_grad below ~2e-8 is not certifiable: the descent floor is sqrt(eps * J) ~ 1.5e-8 * a.
+    See minimize_on_sphere for the forcing tolerance.  A tol_grad below ~2e-8 is not
+    certifiable: the descent floor is sqrt(eps * J) ~ 1.5e-8 * a.
     """
 
     tol_grad: float = 5e-8
@@ -100,7 +103,13 @@ class SolverOptions:
 
 @dataclass
 class SolutionRecord:
-    """Converged (or diagnosed) normalized-solution data for persistence."""
+    """Converged (or diagnosed) normalized-solution data for persistence.
+
+    history holds J at the start and after each accepted step, each as that
+    state was solved (a forcing-tolerance solve reads at most r^2 / (2 mu) low,
+    r its inner residual); the last entry is the state the record reads,
+    solved to tol_inner.
+    """
 
     a: float
     omega: float
@@ -190,26 +199,37 @@ def _x_a_cap(model: NonlinearModel, m: float, a: float) -> float:
 
 def _penalty(v: SpinorField, centers, strength) -> tuple[float, list[float]]:
     """The deflation penalty, strength/|v - c|_2^2 summed over the centers
-    (c, riesz_plus(c)), and the floored |v - c|_2^2 of each."""
-    dist_sq = [max(l2_norm(v - c) ** 2, 1e-300) for c, _ in centers]
+    (c, riesz_plus(c)), and the floored |v - c|_2^2 of each; every v - c is
+    formed in one scratch array."""
+    diff = SpinorField.from_hat(v.space, np.empty_like(v.hat))
+    dist_sq = []
+    for c, _ in centers:
+        np.subtract(v.hat, c.hat, out=diff.hat)
+        dist_sq.append(max(l2_norm(diff) ** 2, 1e-300))
     return sum(strength / d for d in dist_sq), dist_sq
 
 
 def _search_direction(state: ReducedState, centers, dist_sq, strength) -> SpinorField:
     """Sphere-tangent gradient of J plus the penalty; the raw deflation terms,
-    riesz_plus(v - c) = riesz_plus(v) - riesz_plus(c) scaled, are summed
-    first and projected once."""
-    extra = None
-    for (_, riesz_c), d in zip(centers, dist_sq):
-        term = (-2.0 * strength / d**2) * (state.riesz_v - riesz_c)
-        extra = term if extra is None else extra + term
-    if extra is None:
+    riesz_plus(v - c) = riesz_plus(v) - riesz_plus(c) scaled, are summed in
+    one array, through one scratch array, and projected once."""
+    if not centers:
         return state.grad_tangent
-    return state.grad_tangent + tangent_project(state.v, extra, state.riesz_v)
+    extra = tmp = None
+    for (_, riesz_c), d in zip(centers, dist_sq):
+        term = np.subtract(state.riesz_v.hat, riesz_c.hat, out=tmp)
+        term *= -2.0 * strength / d**2
+        if extra is None:
+            extra, tmp = term, np.empty_like(term)
+        else:
+            extra += term
+    lift = tangent_project(state.v, SpinorField.from_hat(state.v.space, extra), state.riesz_v)
+    return state.grad_tangent + lift
 
 
 def _spectral_scale(space: DiracSpace, kappa_val: float) -> np.ndarray:
-    """Per-mode inverse of the leading reduced curvature in the e-metric.
+    """Per-mode inverse of the leading reduced curvature in the e-metric, as
+    complex numbers, so that the product with it casts nothing.
 
     Near a minimizer the reduced Hessian acts per mode roughly like
     (lambda(xi) - omega) / lambda(xi); its inverse (with the spectral gap
@@ -218,7 +238,7 @@ def _spectral_scale(space: DiracSpace, kappa_val: float) -> np.ndarray:
     """
     m = space.mass
     gap = max(m - kappa_val, 0.01 * m)
-    return space.lam / ((space.lam - m) + gap)
+    return (space.lam / ((space.lam - m) + gap)).astype(np.complex128)
 
 
 class _QuasiNewton:
@@ -353,14 +373,19 @@ def minimize_on_sphere(
     warm-start fiber energy already fails the Armijo test is rejected
     without an inner solve (see inner_maximize).
 
-    Every other trial is inner-solved to max(tol_inner a, _INNER_FORCING
-    |grad|_E) only, and decided on the certified interval [j_val, j_val +
-    r^2 / (2 mu)] of its J, r its inner residual and mu = CONCAVITY_MARGIN:
-    accepted when the upper end passes the Armijo test, rejected when the
-    lower end fails, and finished to tol_inner when only the lower end
-    passes.  A loosely solved state that would end the descent (converged,
-    budget exhausted, stalled) is first re-solved to tol_inner at its own
-    sphere point, so the record and history[-1] read a tight state.
+    Every evaluation is inner-solved to the forcing tolerance max(tol_inner a,
+    _INNER_FORCING G) only, G the outer gradient norm at hand: for a trial
+    that of the current state (deflation included), for the first evaluation
+    that of the sphere-tangent gradient at each inner iterate.  When _INNER_FORCING G <
+    tol_grad a the state may end the descent, so it is solved to tol_inner a
+    at once (reduction.forcing_tolerance).  A trial is decided on the
+    certified interval [j_val, j_val + r^2 / (2 mu)] of its J, r its inner
+    residual and mu = CONCAVITY_MARGIN: accepted when the upper end passes
+    the Armijo test, rejected when the lower end fails, and finished to
+    tol_inner when only the lower end passes.  A loosely solved state that
+    would end the descent (converged, budget exhausted, stalled) is first
+    re-solved to tol_inner at its own sphere point, so the record and
+    history[-1] read a tight state.
     """
     space = v0.space
     m = space.mass
@@ -378,11 +403,13 @@ def minimize_on_sphere(
     strength = opts.deflation_strength
     tol_inner_abs = opts.tol_inner * a
     tol = opts.tol_grad * a
+    forcing = (_INNER_FORCING, tol)
     half_level = 0.5 * m * a * a
     cap = _x_a_cap(model, m, a)
 
     state = evaluate_reduced(
-        model, v, tol=tol_inner_abs, max_iter=opts.max_inner, need_gradient=True
+        model, v, tol=tol_inner_abs, max_iter=opts.max_inner, need_gradient=True,
+        forcing=forcing,
     )
     penalty, dist_sq = _penalty(v, centers, strength)
     obj = state.j_val + penalty
@@ -441,7 +468,7 @@ def minimize_on_sphere(
             state_try = evaluate_reduced(
                 model,
                 v_try,
-                tol=max(tol_inner_abs, _INNER_FORCING * gnorm),
+                tol=forcing_tolerance(tol_inner_abs, forcing, gnorm),
                 w0=state.w,
                 max_iter=opts.max_inner,
                 need_gradient=False,

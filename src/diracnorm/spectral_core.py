@@ -158,8 +158,8 @@ class DiracSpace:
 
     Holds everything the field operations need: the frequency mesh, the band
     energy lambda(xi) and the H^(1/2) multiplier, plus FFT helpers in the
-    unitary convention.  The multipliers of riesz_minus_hat are computed on
-    first use.
+    unitary convention.  The multipliers of the projections, the Riesz maps
+    and the pairings are computed on first use.
     """
 
     def __init__(self, grid: Grid, mass: float):
@@ -205,7 +205,7 @@ class DiracSpace:
     def plus_hat(self, hat: ArrayC) -> ArrayC:
         """Projection (I + symbol/lambda)/2 onto the positive spectral part."""
         out = self.apply_symbol_hat(hat)
-        out /= self.lam
+        out *= self._inv_lam
         out += hat
         out *= 0.5
         return out
@@ -213,15 +213,29 @@ class DiracSpace:
     def minus_hat(self, hat: ArrayC) -> ArrayC:
         """Projection (I - symbol/lambda)/2 onto the negative spectral part."""
         out = self.apply_symbol_hat(hat)
-        out /= self.lam
+        out *= self._inv_lam
         np.subtract(hat, out, out=out)
         out *= 0.5
         return out
 
+    # Per-mode multipliers below are complex128 at the full (n, n, n) size, so
+    # that no product with a coefficient array casts or broadcasts per mode;
+    # each is built on first use.
     @cached_property
-    def _riesz_minus_weights(self) -> tuple[ArrayF, ArrayF]:
-        """The per-mode multipliers -1/lambda and 1/(2 lambda)."""
-        return -1.0 / self.lam, 0.5 / self.lam
+    def _inv_lam(self) -> ArrayC:
+        """1/lambda."""
+        return (1.0 / self.lam).astype(np.complex128)
+
+    @cached_property
+    def _riesz_weights(self) -> tuple[ArrayC, ArrayC, ArrayC, ArrayC, ArrayC]:
+        """(lambda - m), (lambda + m), k_z, k_+ and k_-, each over 2 lambda^2."""
+        half_inv_sq = 0.5 / self.lam**2
+        shape = self.lam.shape
+        return tuple(
+            np.broadcast_to(x * half_inv_sq, shape).astype(np.complex128)
+            for x in (self.lam - self.mass, self.lam + self.mass, self._kz,
+                      self._k_plus, self._k_minus)
+        )
 
     # Per-mode weights of the pairings, each repeated for the real and the
     # imaginary part of a coefficient (see _mode_pairing); built on first use.
@@ -233,15 +247,38 @@ class DiracSpace:
     def _hhalf_pairing(self) -> ArrayF:
         return np.repeat(self.hhalf_weight.ravel(), 2)
 
-    def riesz_minus_hat(self, hat: ArrayC) -> ArrayC:
-        """Minus projection divided by lambda: (x - symbol(x)/lambda)/(2 lambda),
-        in place on the symbol's output, with no temporary."""
-        neg_inv, half_inv = self._riesz_minus_weights
-        out = self.apply_symbol_hat(hat)
-        out *= neg_inv
-        out += hat
-        out *= half_inv
+    def _riesz_hat(self, hat: ArrayC, sign: int) -> ArrayC:
+        """x/(2 lambda) + sign * symbol(x)/(2 lambda^2), each output component
+        formed in one pass over the cached weights, with one temporary.
+
+        By the blocks of the symbol (apply_symbol_hat), each upper component
+        takes the diagonal weight (lambda + sign m)/(2 lambda^2) and each lower
+        one (lambda - sign m)/(2 lambda^2); from the other block's pair (a, b)
+        the first row of a block gains sign (k_z a + k_- b)/(2 lambda^2) and the
+        second sign (k_+ a - k_z b)/(2 lambda^2)."""
+        low, high, kz, kp, km = self._riesz_weights
+        add, sub = (np.add, np.subtract) if sign > 0 else (np.subtract, np.add)
+        out = np.empty_like(hat)
+        tmp = np.empty_like(hat[0])
+        for (first, second), diag, (x, y), (a, b) in (
+            (out[:2], high if sign > 0 else low, hat[:2], hat[2:]),
+            (out[2:], low if sign > 0 else high, hat[2:], hat[:2]),
+        ):
+            np.multiply(diag, x, out=first)
+            add(first, np.multiply(kz, a, out=tmp), out=first)
+            add(first, np.multiply(km, b, out=tmp), out=first)
+            np.multiply(diag, y, out=second)
+            add(second, np.multiply(kp, a, out=tmp), out=second)
+            sub(second, np.multiply(kz, b, out=tmp), out=second)
         return out
+
+    def riesz_plus_hat(self, hat: ArrayC) -> ArrayC:
+        """Plus projection divided by lambda: x/(2 lambda) + symbol(x)/(2 lambda^2)."""
+        return self._riesz_hat(hat, 1)
+
+    def riesz_minus_hat(self, hat: ArrayC) -> ArrayC:
+        """Minus projection divided by lambda: x/(2 lambda) - symbol(x)/(2 lambda^2)."""
+        return self._riesz_hat(hat, -1)
 
 
 class SpinorField:
@@ -380,10 +417,7 @@ def apply_h0(u: SpinorField) -> SpinorField:
 
 def riesz_plus(u: SpinorField) -> SpinorField:
     """Plus-part representative of z -> l2_inner(u, z) in the e_inner metric."""
-    sp = u.space
-    out = sp.plus_hat(u.hat)
-    out /= sp.lam  # the projector commutes with the per-mode weight
-    return SpinorField.from_hat(sp, out)
+    return SpinorField.from_hat(u.space, u.space.riesz_plus_hat(u.hat))
 
 
 def riesz_minus(u: SpinorField) -> SpinorField:

@@ -581,3 +581,24 @@ def test_one_symbol_gradient_matches_the_residual_lift(seed, fraction, model):
     want = state.fiber_coeff * tangent_project(v, riesz_plus(residual))
     assert _max_rel(state.grad_tangent.hat, want.hat) <= 1e-12
     assert _max_rel(state.riesz_v.hat, riesz_plus(v).hat) <= 1e-12
+
+
+def test_a_solve_that_takes_no_step_evaluates_psi_once(space12, rng, monkeypatch):
+    """Started at its own maximizer with a rejection bound, the ascent takes no
+    step and reads J from the start's fiber energy: one psi, same value."""
+    import diracnorm.reduction as reduction_module
+
+    model, a = pure_power(2.5), 0.1
+    v = _plus(space12, rng, a)
+    done = evaluate_reduced(model, v, need_gradient=False)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return psi(*args, **kwargs)
+
+    monkeypatch.setattr(reduction_module, "psi", counted)
+    again = inner_maximize(model, v, tol=10 * done.inner_residual, w0=done.w,
+                           reject_above=np.inf)
+    assert again.inner_iterations == 0 and len(calls) == 1
+    assert abs(again.j_val - done.j_val) <= 1e-14 * abs(done.j_val)

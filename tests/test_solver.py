@@ -23,7 +23,12 @@ from diracnorm import (
     two_power,
 )
 import diracnorm.solver as solver_module
-from diracnorm.reduction import SmallnessError, evaluate_reduced, tangent_project
+from diracnorm.reduction import (
+    SmallnessError,
+    attach_gradient,
+    evaluate_reduced,
+    tangent_project,
+)
 from diracnorm.solver import (
     SolutionRecord,
     _QuasiNewton,
@@ -605,3 +610,52 @@ def test_in_place_two_loop_matches_the_reference_and_keeps_its_inputs(pushes):
     want = _reference_two_loop(qn, state, grad)
     assert np.max(np.abs(direction.hat - want.hat)) <= 1e-12 * np.max(np.abs(want.hat))
     assert e_inner(direction, grad) > 0
+
+
+def _spied_evaluations(monkeypatch, run):
+    """(forcing, state) of every evaluate_reduced call the solver makes while run() executes."""
+    seen = []
+    evaluate = solver_module.evaluate_reduced
+
+    def spying(*args, **kwargs):
+        state = evaluate(*args, **kwargs)
+        seen.append((kwargs.get("forcing"), state))
+        return state
+
+    monkeypatch.setattr(solver_module, "evaluate_reduced", spying)
+    return run(), seen
+
+
+def test_the_first_evaluation_stops_at_its_forcing_tolerance(space12, monkeypatch):
+    """A descent's first evaluation is solved only as tightly as the sphere
+    gradient it finds needs, and carries that gradient bit for bit as
+    attach_gradient forms it from the same state."""
+    model, a = pure_power(2.5), 0.1
+    opts = SolverOptions()
+    v0 = default_initial_guess(space12, model, a)
+    rec, seen = _spied_evaluations(monkeypatch, lambda: minimize_on_sphere(model, a, v0, opts))
+    assert rec.converged
+    forcing, first = seen[0]
+    assert forcing == (solver_module._INNER_FORCING, opts.tol_grad * a)
+    gnorm = e_norm(first.grad_tangent)
+    assert (first.inner_residual <= solver_module._INNER_FORCING * gnorm
+            or first.inner_residual <= opts.tol_inner * a)
+    assert first.inner_residual > opts.tol_inner * a  # the forcing term took effect
+    again = attach_gradient(dataclasses.replace(first, grad_tangent=None, riesz_v=None))
+    assert again.grad_tangent.hat.tobytes() == first.grad_tangent.hat.tobytes()
+    assert again.riesz_v.hat.tobytes() == first.riesz_v.hat.tobytes()
+
+
+def test_a_descent_from_a_converged_point_solves_it_once_tightly(space12, monkeypatch):
+    """Started at a converged sphere point, as the multi-start polish is, a
+    descent's first evaluation is already tight (its gradient is near the end)
+    and ends the descent without a re-solve."""
+    model, a = pure_power(2.5), 0.1
+    opts = SolverOptions()
+    found = minimize_on_sphere(model, a, default_initial_guess(space12, model, a), opts)
+    assert found.converged
+    rec, seen = _spied_evaluations(
+        monkeypatch, lambda: minimize_on_sphere(model, a, found.v_star, opts))
+    assert rec.converged and rec.iterations == 0
+    assert len(seen) == 1
+    assert seen[0][1].inner_residual <= opts.tol_inner * a

@@ -326,3 +326,50 @@ def test_e_inner_is_symmetric_bit_for_bit(n, seed, layout):
     u = _with_layout(random_field(space, rng), layout)
     v = random_field(space, rng)
     assert e_inner(u, v) == e_inner(v, u)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.sampled_from([8, 12]),
+    mass=st.floats(0.5, 10.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_one_pass_riesz_maps_match_the_projections(n, mass, seed):
+    """R(+-) x = x/(2 lambda) +- symbol(x)/(2 lambda^2), formed per component
+    from cached weights, agree with (x +- symbol(x)/lambda)/(2 lambda) through
+    apply_symbol_hat; R(+) + R(-) = x/lambda and lambda R(+) = P(+) x."""
+    space = DiracSpace(Grid(n, 1.5 * n), mass)
+    hat = random_field(space, np.random.default_rng(seed)).hat
+    lifted = space.apply_symbol_hat(hat) / space.lam
+    got_plus, got_minus = space.riesz_plus_hat(hat), space.riesz_minus_hat(hat)
+    for got, want in ((got_plus, (hat + lifted) / (2 * space.lam)),
+                      (got_minus, (hat - lifted) / (2 * space.lam))):
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+    over_lam = hat / space.lam
+    assert np.max(np.abs(got_plus + got_minus - over_lam)) <= 1e-14 * np.max(np.abs(over_lam))
+    projected = space.plus_hat(hat)
+    assert (np.max(np.abs(space.lam * got_plus - projected))
+            <= 1e-14 * np.max(np.abs(projected)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.sampled_from([8, 12]),
+    mass=st.floats(0.5, 10.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_symbol_application_keeps_its_operation_order(n, mass, seed):
+    """apply_symbol_hat equals, bit for bit, the block formula m x_up + (sigma.xi)
+    x_low, (sigma.xi) x_up - m x_low summed left to right with broadcast momenta."""
+    space = DiracSpace(Grid(n, 1.5 * n), mass)
+    x = random_field(space, np.random.default_rng(seed)).hat
+    k = space.grid.freq_axis
+    kx, ky, kz = k[:, None, None], k[None, :, None], k[None, None, :]
+    kp, km = kx + 1j * ky, kx - 1j * ky
+    want = np.stack([
+        mass * x[0] + kz * x[2] + km * x[3],
+        mass * x[1] + kp * x[2] - kz * x[3],
+        -mass * x[2] + kz * x[0] + km * x[1],
+        -mass * x[3] + kp * x[0] - kz * x[1],
+    ])
+    assert space.apply_symbol_hat(x).tobytes() == want.tobytes()
