@@ -20,11 +20,12 @@ seed: JSON records use a fixed key order and 17 significant digits, CSV uses
 the same float format, and field snapshots are raw little-endian complex
 pairs behind a fixed 64-byte ASCII header.
 
-Exit codes: 0 success, 1 check/solve/subspace-consistency failure, 2 configuration
-error.  A config file that cannot be read (missing, a directory, not UTF-8
-text) and an output directory that cannot be created are configuration
-errors too: ``main`` reports each as one ``config error:`` line naming the
-path, before any computation.
+Exit codes: 0 success; 1 a failed check, an unconverged solve, a sweep without
+a converged row, a multi search verifying no family, a subspace consistency
+failure or a solver error; 2 configuration error.  A config file that cannot
+be read (missing, a directory, not UTF-8 text) and an output directory that
+cannot be created are configuration errors too: ``main`` reports each as one
+``config error:`` line naming the path, before any computation.
 
 Under glibc, ``main`` keeps the process's freed heap instead of giving it back
 to the kernel: every inner-ascent step allocates fresh 4n³ complex
@@ -357,14 +358,21 @@ def cmd_check(cfg: RunConfig, space: DiracSpace, out_dir: Path, quiet: bool) -> 
     return 0 if passed else 1
 
 
+def _status(rec: SolutionRecord) -> str:
+    """"converged", or the stall reason, if any, and the failed criteria of a record."""
+    if rec.converged:
+        return "converged"
+    failed = "failed criteria: " + ", ".join(rec.failed_criteria)
+    return f"{rec.stall_reason}; {failed}" if rec.stall_reason else failed
+
+
 def cmd_solve(cfg: RunConfig, space: DiracSpace, out_dir: Path, quiet: bool) -> int:
     rec = solve_normalized(cfg.model, cfg.solve_a, space, cfg.solver)
     snapshot = "solution.field"
     save_field_snapshot(out_dir / snapshot, rec.u, rec.a)
     (out_dir / "solution.json").write_text(dump_json(record_to_dict(rec, cfg, snapshot)))
     if not rec.converged:
-        failed = "failed criteria: " + ", ".join(rec.failed_criteria)
-        reason = f"{rec.stall_reason}; {failed}" if rec.stall_reason else failed
+        reason = _status(rec)
         (out_dir / "diagnostics.txt").write_text(
             f"solve did not converge: {reason}\nlast level {format_real(rec.j_level)}\n"
         )
@@ -425,11 +433,17 @@ def cmd_multi(cfg: RunConfig, space: DiracSpace, out_dir: Path, quiet: bool) -> 
         for i in range(n) for j in range(n)
     ))
     found = len(result.records)
-    if found < result.requested:
-        _say(quiet, f"multi: found {found} distinct solution families "
-                    f"(requested {result.requested})")
-    else:
-        _say(quiet, f"multi: found {found} distinct solution families")
+    if not found:
+        # each start's search and undeflated polish, and why neither verified
+        head = f"no solution family verified in {len(result.all_records)} starts"
+        lines = [head] + [f"start {i} {stage}: {_status(rec)}"
+                          for i, pair in enumerate(zip(result.all_records, result.polished))
+                          for stage, rec in zip(("search", "polish"), pair) if rec is not None]
+        (out_dir / "diagnostics.txt").write_text("\n".join(lines) + "\n")
+        _say(quiet, f"multi: {head}")
+        return 1
+    shortfall = f" (requested {result.requested})" if found < result.requested else ""
+    _say(quiet, f"multi: found {found} distinct solution families{shortfall}")
     return 0
 
 

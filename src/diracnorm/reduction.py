@@ -56,6 +56,9 @@ _BALL_GUARD = 1e-8
 #: J(w_k) <= J <= J(w_k) + e_norm(g)^2 / (2 mu) and e_norm(w* - w_k) <= e_norm(g) / mu.
 CONCAVITY_MARGIN = 0.125
 
+#: Largest _ball_fraction of a maximizer certified to lie inside the minus ball.
+_INTERIOR_FRACTION = 0.999
+
 
 class DomainError(ValueError):
     """A (v, w) pair left the admissible fiber domain."""
@@ -67,6 +70,18 @@ class InnerConvergenceError(RuntimeError):
 
 class SmallnessError(RuntimeError):
     """The prescribed mass is outside the validated smallness regime."""
+
+
+def _j_upper(j_val: float, residual: float) -> float:
+    """Certified upper end j_val + residual^2 / (2 mu) of J at an inner iterate of
+    fiber energy j_val (plus any constant added to both) and residual e_norm(g)."""
+    return j_val + residual * residual / (2.0 * CONCAVITY_MARGIN)
+
+
+def _ball_fraction(wn: float, residual: float, radius: float) -> float:
+    """Share of the minus-ball radius within which the inner maximizer lies,
+    (e_norm(w_k) + residual / mu) / radius; below _INTERIOR_FRACTION it is interior."""
+    return (wn + residual / CONCAVITY_MARGIN) / radius
 
 
 def minus_ball_radius(space: DiracSpace, a: float) -> float:
@@ -289,6 +304,14 @@ def inner_maximize(
         tol = 1e-9 * fiber.a
     guard = fiber.radius * (1.0 - _BALL_GUARD)
 
+    def inside(w: SpinorField) -> tuple[SpinorField, float]:
+        """w scaled back just inside the ball when it overshoots, and its e_norm."""
+        wn = e_norm(w)
+        if wn > guard:
+            w = w * (guard / wn)
+            wn = e_norm(w)
+        return w, wn
+
     def tolerance(aux) -> tuple[float, SpinorField | None]:
         """The iterate's tolerance and, under forcing, its sphere-tangent gradient."""
         if forcing is None:
@@ -296,12 +319,7 @@ def inner_maximize(
         outer = _sphere_gradient(v, fiber.riesz_v, aux[0], aux[2])
         return forcing_tolerance(tol, forcing, e_norm(outer)), outer
 
-    w, wn = w0, 0.0  # wn is e_norm(w) throughout; w None: the cold start w = 0
-    if w is not None:
-        wn = e_norm(w)
-        if wn > guard:
-            w = w * (guard / wn)
-            wn = e_norm(w)
+    w, wn = (None, 0.0) if w0 is None else inside(w0)  # wn = e_norm(w) throughout; None: w = 0
     # the start's grid values and |u|^2 serve both its energy and its gradient
     c0, u0 = fiber.parts(w)
     level = None  # the fiber energy at w, once taken
@@ -318,8 +336,8 @@ def inner_maximize(
         if certify_below is not None:
             if level is None:
                 level = fiber.level(aux[0], wn, aux[1])
-            if (level + gnorm**2 / (2 * CONCAVITY_MARGIN) <= certify_below
-                    and wn + gnorm / CONCAVITY_MARGIN < 0.999 * fiber.radius):
+            if (_j_upper(level, gnorm) <= certify_below
+                    and _ball_fraction(wn, gnorm, fiber.radius) < _INTERIOR_FRACTION):
                 break  # settled below certify_below: the tests after the loop do not apply
         step_hat = grad.hat * fiber.precond
         accepted = False
@@ -327,11 +345,7 @@ def inner_maximize(
             trial_hat = step_hat * eta
             if w is not None:
                 trial_hat += w.hat
-            w_try = SpinorField.from_hat(fiber.space, trial_hat)
-            wn = e_norm(w_try)
-            if wn > guard:
-                w_try = w_try * (guard / wn)
-                wn = e_norm(w_try)
+            w_try, wn = inside(SpinorField.from_hat(fiber.space, trial_hat))
             grad_try, aux_try = fiber.gradient(w_try)
             gn_try = e_norm(grad_try)
             if gn_try <= tol or gn_try <= gnorm * (1.0 - 1e-3 * min(eta, 1.0)):
@@ -352,8 +366,8 @@ def inner_maximize(
                 f"inner maximization did not converge in {max_iter} iterations "
                 f"(gradient norm {gnorm:.3e}, tol {tol_w:.3e})"
             )
-        boundary_fraction = (wn + gnorm / CONCAVITY_MARGIN) / fiber.radius
-        if boundary_fraction >= 0.999:
+        boundary_fraction = _ball_fraction(wn, gnorm, fiber.radius)
+        if boundary_fraction >= _INTERIOR_FRACTION:
             raise SmallnessError(
                 "inner maximizer reached the minus-ball boundary "
                 f"(fraction {boundary_fraction:.4f}); mass a={fiber.a:.3e} is too large"
@@ -440,20 +454,12 @@ def evaluate_reduced(
     w0: SpinorField | None = None,
     max_iter: int = 500,
     need_gradient: bool = True,
-    reject_above: float | None = None,
-    certify_below: float | None = None,
-    v_norms: tuple[float, float] | None = None,
-    forcing: tuple[float, float] | None = None,
+    **options,
 ) -> ReducedState | None:
-    """inner_maximize at v, with the sphere-tangent gradient attached when asked;
-    None when inner_maximize rejects v against reject_above.  With
-    certify_below, the state may stop short of tol once its certified upper
-    end of J is at most certify_below; v_norms is (l2_norm(v), e_norm(v)) when
-    the caller holds them; with forcing, the inner tolerance follows the
-    gradient, which the state then carries (see inner_maximize)."""
-    state = inner_maximize(model, v, tol=tol, w0=w0, max_iter=max_iter,
-                           reject_above=reject_above, certify_below=certify_below,
-                           v_norms=v_norms, forcing=forcing)
+    """inner_maximize at v, options being its remaining keywords, with the sphere-
+    tangent gradient attached when asked (a state solved under forcing carries
+    it already); None when inner_maximize rejects v against reject_above."""
+    state = inner_maximize(model, v, tol=tol, w0=w0, max_iter=max_iter, **options)
     if state is None or not need_gradient or state.grad_tangent is not None:
         return state
     return attach_gradient(state)

@@ -25,6 +25,7 @@ from .reduction import (
     CONCAVITY_MARGIN,
     ReducedState,
     SmallnessError,
+    _j_upper,
     attach_gradient,
     evaluate_reduced,
     forcing_tolerance,
@@ -175,18 +176,13 @@ def calibrate_a_max(model: NonlinearModel, space: DiracSpace, seed: int) -> floa
     return lo
 
 
-def _with_a_max(model: NonlinearModel, space: DiracSpace, opts: SolverOptions) -> SolverOptions:
-    """opts with a_max=None (auto) calibrated on space."""
-    if opts.a_max is not None:
-        return opts
-    return replace(opts, a_max=calibrate_a_max(model, space, seed=opts.seed))
-
-
 def require_small_mass(
     model: NonlinearModel, a: float, space: DiracSpace, opts: SolverOptions
 ) -> SolverOptions:
-    """opts with a_max calibrated on space; raises SmallnessError when a exceeds it."""
-    opts = _with_a_max(model, space, opts)
+    """The one a_max gate: opts with a_max=None (auto) calibrated on space; raises
+    SmallnessError when a exceeds it.  Each solve, sweep and search calls it first."""
+    if opts.a_max is None:
+        opts = replace(opts, a_max=calibrate_a_max(model, space, seed=opts.seed))
     if a > opts.a_max:
         raise SmallnessError(f"a={a:g} exceeds the validated threshold a_max={opts.a_max:g}")
     return opts
@@ -379,8 +375,8 @@ def minimize_on_sphere(
     that of the sphere-tangent gradient at each inner iterate.  When _INNER_FORCING G <
     tol_grad a the state may end the descent, so it is solved to tol_inner a
     at once (reduction.forcing_tolerance).  A trial is decided on the
-    certified interval [j_val, j_val + r^2 / (2 mu)] of its J, r its inner
-    residual and mu = CONCAVITY_MARGIN: accepted when the upper end passes
+    certified interval [j_val, j_val + r^2 / (2 mu)] of its J (reduction._j_upper),
+    r its inner residual: accepted when the upper end passes
     the Armijo test, rejected when the lower end fails, and finished to
     tol_inner when only the lower end passes.  A loosely solved state that
     would end the descent (converged, budget exhausted, stalled) is first
@@ -444,7 +440,6 @@ def minimize_on_sphere(
         iterations += 1
         direction, threshold = qn.descent(state, grad, gnorm)
         accepted = False
-        state_try = None
         for backtrack in range(30):
             if backtrack == 8 and qn.pairs:
                 # curvature model mistrusted far from a minimizer, or spoilt by rounding
@@ -466,22 +461,16 @@ def minimize_on_sphere(
             # through the next evaluation
             state_try = None
             state_try = evaluate_reduced(
-                model,
-                v_try,
-                tol=forcing_tolerance(tol_inner_abs, forcing, gnorm),
-                w0=state.w,
-                max_iter=opts.max_inner,
-                need_gradient=False,
-                reject_above=armijo - penalty_try,
-                v_norms=norms,
+                model, v_try, tol=forcing_tolerance(tol_inner_abs, forcing, gnorm), w0=state.w,
+                max_iter=opts.max_inner, need_gradient=False,
+                reject_above=armijo - penalty_try, v_norms=norms,
             )
             if state_try is not None:
                 obj_try = state_try.j_val + penalty_try
-                # J(v_try) lies in [j_val, j_val + r^2 / (2 mu)]; a state
+                # J(v_try) lies in [j_val, _j_upper(j_val, r)]; a state
                 # solved to tol_inner is taken as exact
                 r = state_try.inner_residual
-                upper = obj_try + r * r / (2.0 * CONCAVITY_MARGIN)
-                if r > tol_inner_abs and obj_try <= armijo < upper:
+                if r > tol_inner_abs and obj_try <= armijo < _j_upper(obj_try, r):
                     # only the lower end passes: decide on the finished solve
                     state_try = evaluate_reduced(
                         model, v_try, tol=tol_inner_abs, w0=state_try.w,
@@ -511,9 +500,10 @@ def minimize_on_sphere(
         v, state, grad, obj = state_new.v, state_new, grad_new, obj_try
         history.append(state.j_val)
         below_half = below_half or state.j_val < half_level
-        if below_half and e_norm(v) ** 2 > cap * (1.0 + 1e-9):
+        # norms are v's, taken by the cone test of the accepted trial
+        if below_half and norms[1] ** 2 > cap * (1.0 + 1e-9):
             raise SmallnessError(
-                f"iterate left the admissible norm cap: e_norm(v)^2={e_norm(v)**2:.6e} "
+                f"iterate left the admissible norm cap: e_norm(v)^2={norms[1]**2:.6e} "
                 f"> {cap:.6e}; a={a:g} is too large"
             )
         # a quasi-Newton step has natural length one: never open a search
@@ -534,7 +524,7 @@ def solve_normalized(
     """minimize_on_sphere by nested iteration: if n % 4 == 0 and n/2 >= COARSEST_N,
     start from the sphere point of a (recursive) solve on the n/2 grid of the same
     box, else from default_initial_guess; omega_coarse is that solve's converged omega."""
-    opts = _with_a_max(model, space, opts)  # calibrated on the requested grid
+    opts = require_small_mass(model, a, space, opts)  # calibrated on the requested grid
     n = space.grid.n_per_axis
     omega_coarse = None
     if n % 4 or n // 2 < COARSEST_N:
@@ -591,7 +581,7 @@ def bifurcation_sweep(
     if any(b >= a for a, b in zip(a_values, a_values[1:])):
         raise ValueError("a_values must be strictly decreasing")
     m = space.mass
-    opts = _with_a_max(model, space, opts)
+    opts = require_small_mass(model, a_values[0], space, opts)
     records: list[SolutionRecord] = []
     for a in a_values:
         v_prev = records[-1].v_star if records else default_initial_guess(space, model, a)
@@ -618,7 +608,8 @@ def bifurcation_sweep(
 
 @dataclass
 class MultiResult:
-    """Outcome of the deflated multi-start search."""
+    """Outcome of the deflated multi-start search: all_records holds each start's
+    search, polished its undeflated polish (None where the search verified itself)."""
 
     records: list[SolutionRecord]
     all_records: list[SolutionRecord]
@@ -626,6 +617,7 @@ class MultiResult:
     distance_matrix: np.ndarray
     family_matrix: np.ndarray
     requested: int
+    polished: list[SolutionRecord | None]
 
 
 def _family_groups(records: list[SolutionRecord], m: float, a: float) -> list[list[int]]:
@@ -672,7 +664,7 @@ def multi_start_deflated(
     """
     if k <= 0:
         raise ValueError("k must be positive")
-    opts = _with_a_max(model, space, opts)
+    opts = require_small_mass(model, a, space, opts)
     envelope_scale = max(2.0, space.grid.box_length / 8.0)
     starts = [normalized(p, a) for p in _plus_basis(space, envelope_scale, k)[0]]
     rng = np.random.default_rng(opts.seed)
@@ -683,6 +675,7 @@ def multi_start_deflated(
     opts_deflated = replace(opts, max_outer=min(300, opts.max_outer))
     centers: list[SpinorField] = []
     all_records: list[SolutionRecord] = []
+    polished: list[SolutionRecord | None] = []
     verified: list[SolutionRecord] = []
     for v0 in starts:
         rec = minimize_on_sphere(model, a, v0, opts_deflated if centers else opts,
@@ -693,6 +686,7 @@ def multi_start_deflated(
             # the record carries the outer iterations of the search and the polish
             ver = minimize_on_sphere(model, a, rec.v_star, opts)
             ver.iterations += rec.iterations
+        polished.append(None if ver is rec else ver)
         if ver.converged:
             verified.append(ver)
             centers.append(ver.v_star)
@@ -713,4 +707,5 @@ def multi_start_deflated(
     fam = np.zeros((len(kept), len(kept)), dtype=bool)
     for grp in families:
         fam[np.ix_(grp, grp)] = True
-    return MultiResult(records, all_records, families, table[np.ix_(keep, keep)], fam, k)
+    return MultiResult(records, all_records, families, table[np.ix_(keep, keep)], fam, k,
+                       polished)

@@ -184,37 +184,24 @@ class DiracSpace:
         return np.fft.ifftn(hat, axes=(1, 2, 3), norm="ortho", out=out)
 
     def apply_symbol_hat(self, hat: ArrayC) -> ArrayC:
-        """Multiply Fourier coefficients by the symbol alpha.xi + m beta.
-
-        With sigma.xi = [[k_z, k_-], [k_+, -k_z]] and k_pm = k_x +- i k_y, the
-        upper block maps to m upper + (sigma.xi) lower and the lower block to
-        (sigma.xi) upper - m lower; both are accumulated in place.
-        """
-        kz, kp, km = self._kz, self._k_plus, self._k_minus
-        out = np.empty_like(hat, dtype=np.complex128)
-        np.multiply(self.mass, hat[:2], out=out[:2])
-        np.multiply(-self.mass, hat[2:], out=out[2:])
-        tmp = np.empty_like(out[0])
-        for block, (a, b) in ((out[:2], hat[2:]), (out[2:], hat[:2])):
-            block[0] += np.multiply(kz, a, out=tmp)
-            block[0] += np.multiply(km, b, out=tmp)
-            block[1] += np.multiply(kp, a, out=tmp)
-            block[1] -= np.multiply(kz, b, out=tmp)
-        return out
+        """Multiply Fourier coefficients by the symbol alpha.xi + m beta: the
+        block map (see _block_map) with diagonals m and -m."""
+        return self._block_map(hat, self.mass, -self.mass, self._kz, self._k_plus,
+                               self._k_minus, 1)
 
     def plus_hat(self, hat: ArrayC) -> ArrayC:
         """Projection (I + symbol/lambda)/2 onto the positive spectral part."""
-        out = self.apply_symbol_hat(hat)
-        out *= self._inv_lam
-        out += hat
-        out *= 0.5
-        return out
+        return self._half_projection(hat, np.add)
 
     def minus_hat(self, hat: ArrayC) -> ArrayC:
         """Projection (I - symbol/lambda)/2 onto the negative spectral part."""
+        return self._half_projection(hat, np.subtract)
+
+    def _half_projection(self, hat: ArrayC, combine) -> ArrayC:
+        """(hat combine symbol(hat)/lambda)/2, combine being np.add or np.subtract."""
         out = self.apply_symbol_hat(hat)
         out *= self._inv_lam
-        np.subtract(hat, out, out=out)
+        combine(hat, out, out=out)
         out *= 0.5
         return out
 
@@ -247,22 +234,18 @@ class DiracSpace:
     def _hhalf_pairing(self) -> ArrayF:
         return np.repeat(self.hhalf_weight.ravel(), 2)
 
-    def _riesz_hat(self, hat: ArrayC, sign: int) -> ArrayC:
-        """x/(2 lambda) + sign * symbol(x)/(2 lambda^2), each output component
-        formed in one pass over the cached weights, with one temporary.
-
-        By the blocks of the symbol (apply_symbol_hat), each upper component
-        takes the diagonal weight (lambda + sign m)/(2 lambda^2) and each lower
-        one (lambda - sign m)/(2 lambda^2); from the other block's pair (a, b)
-        the first row of a block gains sign (k_z a + k_- b)/(2 lambda^2) and the
-        second sign (k_+ a - k_z b)/(2 lambda^2)."""
-        low, high, kz, kp, km = self._riesz_weights
+    def _block_map(self, hat: ArrayC, upper, lower, kz, kp, km, sign: int) -> ArrayC:
+        """(upper x_up + sign (sigma.xi) x_low, lower x_low + sign (sigma.xi) x_up)
+        with sigma.xi = [[k_z, k_-], [k_+, -k_z]], k_pm = k_x +- i k_y: from the
+        other block's pair (a, b) the first row of a block gains sign (k_z a +
+        k_- b), the second sign (k_+ a - k_z b), added left to right, each
+        output component in one pass with one temporary."""
         add, sub = (np.add, np.subtract) if sign > 0 else (np.subtract, np.add)
-        out = np.empty_like(hat)
-        tmp = np.empty_like(hat[0])
+        out = np.empty_like(hat, dtype=np.complex128)
+        tmp = np.empty_like(out[0])
         for (first, second), diag, (x, y), (a, b) in (
-            (out[:2], high if sign > 0 else low, hat[:2], hat[2:]),
-            (out[2:], low if sign > 0 else high, hat[2:], hat[:2]),
+            (out[:2], upper, hat[:2], hat[2:]),
+            (out[2:], lower, hat[2:], hat[:2]),
         ):
             np.multiply(diag, x, out=first)
             add(first, np.multiply(kz, a, out=tmp), out=first)
@@ -274,11 +257,13 @@ class DiracSpace:
 
     def riesz_plus_hat(self, hat: ArrayC) -> ArrayC:
         """Plus projection divided by lambda: x/(2 lambda) + symbol(x)/(2 lambda^2)."""
-        return self._riesz_hat(hat, 1)
+        low, high, kz, kp, km = self._riesz_weights
+        return self._block_map(hat, high, low, kz, kp, km, 1)
 
     def riesz_minus_hat(self, hat: ArrayC) -> ArrayC:
         """Minus projection divided by lambda: x/(2 lambda) - symbol(x)/(2 lambda^2)."""
-        return self._riesz_hat(hat, -1)
+        low, high, kz, kp, km = self._riesz_weights
+        return self._block_map(hat, low, high, kz, kp, km, -1)
 
 
 class SpinorField:

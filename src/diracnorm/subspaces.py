@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .nonlinearity import NonlinearModel, psi_quadrature
-from .reduction import CONCAVITY_MARGIN, evaluate_reduced
+from .reduction import CONCAVITY_MARGIN, _j_upper, evaluate_reduced
 from .spectral_core import (
     ArrayF,
     DiracSpace,
@@ -413,9 +413,8 @@ def _reduced_on_sphere(
     for p_i the fields stacked in basis (see _stacked).
 
     The inner solve stops at residual _J_INNER_TOL, or earlier once the upper
-    end is at most certify_below; with the sampled concavity margin
-    mu = CONCAVITY_MARGIN of the fiber energy, the iterate's value J(w_k)
-    and inner residual g bound J(v) <= J(w_k) + e_norm(g)^2 / (2 mu).
+    end is at most certify_below; the iterate's value J(w_k) and inner
+    residual g bound J(v) <= J(w_k) + e_norm(g)^2 / (2 mu) (reduction._j_upper).
     The combination is formed on the basis's grid values as well as its
     coefficients, so the cold-started inner solve needs no inverse transform.
     """
@@ -429,7 +428,7 @@ def _reduced_on_sphere(
     values *= scale
     state = evaluate_reduced(model, SpinorField(space, values, hat), tol=_J_INNER_TOL,
                              need_gradient=False, certify_below=certify_below)
-    return state.j_val + state.inner_residual**2 / (2 * CONCAVITY_MARGIN)
+    return _j_upper(state.j_val, state.inner_residual)
 
 
 def level_bounds(

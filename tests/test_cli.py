@@ -287,6 +287,25 @@ def test_cmd_multi_null_single_family(tmp_path):
     assert matrix[0] == "i,j,l2_distance,same_family"
 
 
+def test_cmd_multi_that_verifies_no_family_exits_1_with_each_start_s_reasons(tmp_path, capsys):
+    """With one outer step no search nor polish converges: multi exits 1, still
+    writes distinctness.csv (header only) and names each start's stall."""
+    out = tmp_path / "out"
+    cfg = _write(tmp_path, SMALL.replace("solver.max_outer=500", "solver.max_outer=1")
+                 + f"output.dir={out}\n")
+    assert main(["multi", "--config", cfg]) == 1
+    lines = (out / "diagnostics.txt").read_text().splitlines()
+    assert lines[0] == "no solution family verified in 4 starts"
+    assert [line.split(":")[0] for line in lines[1:]] == [
+        f"start {i} {stage}" for i in range(4) for stage in ("search", "polish")]
+    for line in lines[1:]:
+        assert "outer budget max_outer=1 exhausted" in line
+        assert "; failed criteria: gradient" in line
+    assert (out / "distinctness.csv").read_text() == "i,j,l2_distance,same_family\n"
+    assert not list(out.glob("multi_*"))
+    assert capsys.readouterr().out == "multi: no solution family verified in 4 starts\n"
+
+
 def test_cmd_subspace_csv(tmp_path):
     out = tmp_path / "out"
     cfg = _write(

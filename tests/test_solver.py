@@ -335,6 +335,29 @@ def test_auto_a_max_is_calibrated_once_per_sweep_and_multi(space12, monkeypatch)
     assert spaces == [space12]
 
 
+@pytest.mark.parametrize("entry", ["solve", "sweep", "multi"])
+def test_a_mass_above_a_max_is_refused_before_any_descent(space12, monkeypatch, entry):
+    """solve_normalized, bifurcation_sweep and multi_start_deflated pass their
+    largest mass through the one a_max gate before they descend."""
+    calls = []
+    minimize = solver_module.minimize_on_sphere
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return minimize(*args, **kwargs)
+
+    monkeypatch.setattr(solver_module, "minimize_on_sphere", counting)
+    model, opts = pure_power(2.5), SolverOptions(a_max=0.05)
+    run = {
+        "solve": lambda: solve_normalized(model, 0.1, space12, opts),
+        "sweep": lambda: bifurcation_sweep(model, [0.1, 0.04], opts, space12),
+        "multi": lambda: multi_start_deflated(model, 0.1, 2, opts, space12),
+    }[entry]
+    with pytest.raises(SmallnessError, match="a=0.1 exceeds the validated threshold a_max=0.05"):
+        run()
+    assert calls == []
+
+
 def _cold_points(monkeypatch, opts, space):
     """The sphere points multi_start_deflated inner-solves from w0=None."""
     points = []
@@ -500,7 +523,7 @@ def test_a_trial_passing_only_on_its_lower_end_is_finished(space12, monkeypatch)
         accepted.append(state.inner_residual)
         return attach(state)
 
-    monkeypatch.setattr(solver_module, "CONCAVITY_MARGIN", 1e-300)
+    monkeypatch.setattr(solver_module, "_j_upper", lambda j, r: np.inf if r > 0 else j)
     monkeypatch.setattr(solver_module, "attach_gradient", spying)
     rec = minimize_on_sphere(model, a, default_initial_guess(space12, model, a), opts)
     assert rec.converged and accepted

@@ -373,3 +373,32 @@ def test_symbol_application_keeps_its_operation_order(n, mass, seed):
         -mass * x[3] + kp * x[0] - kz * x[1],
     ])
     assert space.apply_symbol_hat(x).tobytes() == want.tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.sampled_from([8, 12]),
+    mass=st.floats(0.5, 10.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_riesz_maps_keep_their_operation_order(n, mass, seed):
+    """riesz_plus_hat and riesz_minus_hat equal, bit for bit, the per-component
+    block formula with the cached weights (lambda -+ m, k_z, k_+, k_- over
+    2 lambda^2): the diagonal term first, then the momenta left to right."""
+    space = DiracSpace(Grid(n, 1.5 * n), mass)
+    x = random_field(space, np.random.default_rng(seed)).hat
+    low, high, kz, kp, km = space._riesz_weights
+    want_plus = np.stack([
+        high * x[0] + kz * x[2] + km * x[3],
+        high * x[1] + kp * x[2] - kz * x[3],
+        low * x[2] + kz * x[0] + km * x[1],
+        low * x[3] + kp * x[0] - kz * x[1],
+    ])
+    want_minus = np.stack([
+        low * x[0] - kz * x[2] - km * x[3],
+        low * x[1] - kp * x[2] + kz * x[3],
+        high * x[2] - kz * x[0] - km * x[1],
+        high * x[3] - kp * x[0] + kz * x[1],
+    ])
+    assert space.riesz_plus_hat(x).tobytes() == want_plus.tobytes()
+    assert space.riesz_minus_hat(x).tobytes() == want_minus.tobytes()
