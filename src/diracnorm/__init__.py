@@ -37,7 +37,7 @@ from .solver import (
     default_initial_guess,
     extract_solution,
     minimize_on_sphere,
-    multi_start_deflated,
+    multi_start,
     solve_normalized,
 )
 from .spectral_core import (

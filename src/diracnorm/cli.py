@@ -9,7 +9,7 @@ check     run the invariant suites (projector algebra, norm domination,
 solve     one normalized solve at the configured mass, seeded from the n/2
           grid when it is eligible (see solver.solve_normalized)
 sweep     bifurcation sweep over the configured mass ladder
-multi     deflated multi-start search for distinct solutions
+multi     multi-start search for distinct solutions, one plain descent per start
 subspace  subspace ratio / level-bound study over the (k, n) lattice; exit 1
           when a sampled direct sup lies above its level bound, or when
           solve.a exceeds solver.a_max
@@ -52,7 +52,7 @@ from .solver import (
     SolverOptions,
     SolutionRecord,
     bifurcation_sweep,
-    multi_start_deflated,
+    multi_start,
     require_small_mass,
     solve_normalized,
 )
@@ -181,6 +181,12 @@ def _build(obj, prefix: str, given: dict):
         raise FieldError(str(exc), *(prefix + name for name in exc.fields)) from exc
 
 
+#: Keys the format no longer reads; a config that sets one still parses, and
+#: its value is ignored.  solver.deflation_strength goes when the benchmark's
+#: generated configs stop setting it.
+RETIRED_KEYS = frozenset({"solver.deflation_strength"})
+
+
 def parse_config(text: str) -> RunConfig:
     """Parse the flat key=value format; a rejected value cites its line."""
     given: dict[str, tuple[int, str, str]] = {}
@@ -192,6 +198,8 @@ def parse_config(text: str) -> RunConfig:
             raise ConfigError(f"line {line_no}: expected key=value, got {line!r}")
         key, _, val = line.partition("=")
         key = key.strip()
+        if key in RETIRED_KEYS:
+            continue
         if key not in CONFIG_KEYS:
             raise ConfigError(f"line {line_no}: unknown configuration key {key!r}")
         if CONFIG_KEYS[key] in given:
@@ -420,7 +428,7 @@ def cmd_sweep(cfg: RunConfig, space: DiracSpace, out_dir: Path, quiet: bool) -> 
 
 
 def cmd_multi(cfg: RunConfig, space: DiracSpace, out_dir: Path, quiet: bool) -> int:
-    result = multi_start_deflated(cfg.model, cfg.solve_a, cfg.multi_k, cfg.solver, space)
+    result = multi_start(cfg.model, cfg.solve_a, cfg.multi_k, cfg.solver, space)
     for i, rec in enumerate(result.records):
         snapshot = f"multi_{i:02d}.field"
         save_field_snapshot(out_dir / snapshot, rec.u, rec.a)
@@ -434,11 +442,9 @@ def cmd_multi(cfg: RunConfig, space: DiracSpace, out_dir: Path, quiet: bool) -> 
     ))
     found = len(result.records)
     if not found:
-        # each start's search and undeflated polish, and why neither verified
+        # why each start's descent did not verify
         head = f"no solution family verified in {len(result.all_records)} starts"
-        lines = [head] + [f"start {i} {stage}: {_status(rec)}"
-                          for i, pair in enumerate(zip(result.all_records, result.polished))
-                          for stage, rec in zip(("search", "polish"), pair) if rec is not None]
+        lines = [head] + [f"start {i}: {_status(rec)}" for i, rec in enumerate(result.all_records)]
         (out_dir / "diagnostics.txt").write_text("\n".join(lines) + "\n")
         _say(quiet, f"multi: {head}")
         return 1

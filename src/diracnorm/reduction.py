@@ -125,6 +125,11 @@ def energy(model: NonlinearModel, u: SpinorField) -> float:
     return 0.5 * e_norm(parts.plus) ** 2 - 0.5 * e_norm(parts.minus) ** 2 - psi(model, u)
 
 
+def _riesz_plus_of_plus(v: SpinorField) -> SpinorField:
+    """riesz_plus(v) = v / lambda of a plus field v, in one per-mode product."""
+    return SpinorField.from_hat(v.space, v.hat * v.space._inv_lam)
+
+
 class _Fiber:
     """Cached quantities of the plus field v reused across inner iterations.
 
@@ -154,8 +159,8 @@ class _Fiber:
 
     @functools.cached_property
     def riesz_v(self) -> SpinorField:
-        """riesz_plus(v) = v / lambda, since v is a plus field."""
-        return SpinorField.from_hat(self.space, self.v.hat * self.space._inv_lam)
+        """riesz_plus(v), taken once per fiber."""
+        return _riesz_plus_of_plus(self.v)
 
     def parts(self, w: SpinorField | None) -> tuple[float, SpinorField]:
         """The coefficient c and the fiber point u = c v + w."""
@@ -442,7 +447,7 @@ def attach_gradient(state: ReducedState) -> ReducedState:
     projection removes: one Riesz map in all.
     """
     v = state.v
-    state.riesz_v = SpinorField.from_hat(v.space, v.hat * v.space._inv_lam)
+    state.riesz_v = _riesz_plus_of_plus(v)
     state.grad_tangent = _sphere_gradient(v, state.riesz_v, state.fiber_coeff, state.fu)
     return state
 

@@ -8,8 +8,8 @@ Armijo decrease test.  A converged sphere point v* yields the solution pair
 
 Additional drivers: a warm-started mass sweep tracing the branch omega(a) down
 to small mass (the bifurcation signature omega -> m, |u|_{H^{1/2}} -> 0), and
-a deflated multi-start search that penalizes already-found sphere points to
-reach further critical points.
+a multi-start search that runs one plain descent from each of several starts
+and groups the converged end points into solution families.
 """
 
 from __future__ import annotations
@@ -45,7 +45,6 @@ from .spectral_core import (
     normalized,
     prolong,
     random_field,
-    riesz_plus,
     split,
 )
 from .subspaces import _plus_basis
@@ -70,7 +69,6 @@ class SolverOptions:
     step_init           first trial step of the line search; later ones open at min(2 * last, this)
     armijo_c            sufficient-decrease constant of the Armijo test, in (0, 1)
     a_max               validated small-mass threshold a solve may not exceed; None calibrates it
-    deflation_strength  multi-start penalty weight, strength / |v - v_i|_2^2 per found point v_i
     seed                seed of the a_max calibration, the random multi-starts and the checks
 
     See minimize_on_sphere for the forcing tolerance.  A tol_grad below ~2e-8 is not
@@ -84,7 +82,6 @@ class SolverOptions:
     step_init: float = 1.0
     armijo_c: float = 1e-4
     a_max: float | None = 0.25
-    deflation_strength: float = 1e-6
     seed: int = 20240
 
     def __post_init__(self) -> None:
@@ -97,9 +94,6 @@ class SolverOptions:
             raise FieldError("armijo_c must lie in (0, 1)", "armijo_c")
         if self.a_max is not None and not 0 < self.a_max < np.inf:
             raise FieldError("a_max must be positive and finite when given", "a_max")
-        if not 0 <= self.deflation_strength < np.inf:
-            raise FieldError("deflation_strength must be nonnegative and finite",
-                             "deflation_strength")
 
 
 @dataclass
@@ -193,36 +187,6 @@ def _x_a_cap(model: NonlinearModel, m: float, a: float) -> float:
     return (m + a ** ((model.p - 2.0) / 2.0)) * a * a
 
 
-def _penalty(v: SpinorField, centers, strength) -> tuple[float, list[float]]:
-    """The deflation penalty, strength/|v - c|_2^2 summed over the centers
-    (c, riesz_plus(c)), and the floored |v - c|_2^2 of each; every v - c is
-    formed in one scratch array."""
-    diff = SpinorField.from_hat(v.space, np.empty_like(v.hat))
-    dist_sq = []
-    for c, _ in centers:
-        np.subtract(v.hat, c.hat, out=diff.hat)
-        dist_sq.append(max(l2_norm(diff) ** 2, 1e-300))
-    return sum(strength / d for d in dist_sq), dist_sq
-
-
-def _search_direction(state: ReducedState, centers, dist_sq, strength) -> SpinorField:
-    """Sphere-tangent gradient of J plus the penalty; the raw deflation terms,
-    riesz_plus(v - c) = riesz_plus(v) - riesz_plus(c) scaled, are summed in
-    one array, through one scratch array, and projected once."""
-    if not centers:
-        return state.grad_tangent
-    extra = tmp = None
-    for (_, riesz_c), d in zip(centers, dist_sq):
-        term = np.subtract(state.riesz_v.hat, riesz_c.hat, out=tmp)
-        term *= -2.0 * strength / d**2
-        if extra is None:
-            extra, tmp = term, np.empty_like(term)
-        else:
-            extra += term
-    lift = tangent_project(state.v, SpinorField.from_hat(state.v.space, extra), state.riesz_v)
-    return state.grad_tangent + lift
-
-
 def _spectral_scale(space: DiracSpace, kappa_val: float) -> np.ndarray:
     """Per-mode inverse of the leading reduced curvature in the e-metric, as
     complex numbers, so that the product with it casts nothing.
@@ -262,14 +226,14 @@ class _QuasiNewton:
             if len(self.pairs) > 10:
                 self.pairs.pop(0)
 
-    def descent(
-        self, state: ReducedState, grad: SpinorField, gnorm: float
-    ) -> tuple[SpinorField, float]:
-        """Search direction, of positive slope for a tangent grad, and its Armijo
-        threshold max(slope, gnorm^2), which also certifies the plain-gradient law.
+    def descent(self, state: ReducedState, gnorm: float) -> tuple[SpinorField, float]:
+        """Search direction, of positive slope against the tangent gradient
+        grad of state, and its Armijo threshold max(slope, gnorm^2), which also
+        certifies the plain-gradient law.
 
         Both loops update one copy of grad's coefficients in place, through
         one scratch array; grad and the pairs are left as they are."""
+        grad = state.grad_tangent
         q_hat = grad.hat.copy()
         q = SpinorField.from_hat(self.space, q_hat)
         tmp = np.empty_like(q_hat)
@@ -350,7 +314,6 @@ def minimize_on_sphere(
     a: float,
     v0: SpinorField,
     opts: SolverOptions,
-    deflation_centers: list[SpinorField] | None = None,
 ) -> SolutionRecord:
     """Projected descent of the reduced functional on the mass-a sphere.
 
@@ -364,14 +327,14 @@ def minimize_on_sphere(
 
     v0 must be a plus field, as default_initial_guess, prolong and the
     multi-start fields are (a minus part above 1e-10 a is refused); every
-    iterate then stays one, since the search directions are combinations of
-    riesz_plus lifts and per-mode rescalings of plus fields.  A trial whose
+    iterate then stays one, since the search directions are tangent
+    projections and per-mode rescalings of plus fields.  A trial whose
     warm-start fiber energy already fails the Armijo test is rejected
     without an inner solve (see inner_maximize).
 
     Every evaluation is inner-solved to the forcing tolerance max(tol_inner a,
     _INNER_FORCING G) only, G the outer gradient norm at hand: for a trial
-    that of the current state (deflation included), for the first evaluation
+    that of the current state, for the first evaluation
     that of the sphere-tangent gradient at each inner iterate.  When _INNER_FORCING G <
     tol_grad a the state may end the descent, so it is solved to tol_inner a
     at once (reduction.forcing_tolerance).  A trial is decided on the
@@ -395,8 +358,6 @@ def minimize_on_sphere(
     minus = l2_norm(SpinorField.from_hat(space, space.minus_hat(v.hat)))
     if minus > 1e-10 * a:
         raise ValueError(f"v0 must be a plus field: its minus part has l2 norm {minus:.3e}")
-    centers = [(c, riesz_plus(c)) for c in deflation_centers or []]
-    strength = opts.deflation_strength
     tol_inner_abs = opts.tol_inner * a
     tol = opts.tol_grad * a
     forcing = (_INNER_FORCING, tol)
@@ -407,17 +368,14 @@ def minimize_on_sphere(
         model, v, tol=tol_inner_abs, max_iter=opts.max_inner, need_gradient=True,
         forcing=forcing,
     )
-    penalty, dist_sq = _penalty(v, centers, strength)
-    obj = state.j_val + penalty
     history = [state.j_val]
     step = opts.step_init
     below_half = state.j_val < half_level
     qn = _QuasiNewton(space)
-    grad = _search_direction(state, centers, dist_sq, strength)
     iterations = stagnant = 0
     reason = None
     while True:
-        gnorm = e_norm(grad)
+        gnorm = e_norm(state.grad_tangent)
         ends = reason is not None or gnorm <= tol or iterations == opts.max_outer
         if ends and state.inner_residual > tol_inner_abs:
             # a loosely solved state neither ends a descent nor feeds the
@@ -426,9 +384,7 @@ def minimize_on_sphere(
                 model, v, tol=tol_inner_abs, w0=state.w, max_iter=opts.max_inner,
                 need_gradient=False,
             ))
-            obj = state.j_val + penalty
             history[-1] = state.j_val
-            grad = _search_direction(state, centers, dist_sq, strength)
             continue
         if ends:
             if reason is None and gnorm > tol:
@@ -438,13 +394,13 @@ def minimize_on_sphere(
                 )
             break
         iterations += 1
-        direction, threshold = qn.descent(state, grad, gnorm)
+        direction, threshold = qn.descent(state, gnorm)
         accepted = False
         for backtrack in range(30):
             if backtrack == 8 and qn.pairs:
                 # curvature model mistrusted far from a minimizer, or spoilt by rounding
                 qn.pairs.clear()
-                direction, threshold = qn.descent(state, grad, gnorm)
+                direction, threshold = qn.descent(state, gnorm)
                 step = opts.step_init
             # v - step * direction, retracted to the sphere, on one array
             try_hat = direction.hat * -step
@@ -455,29 +411,26 @@ def minimize_on_sphere(
             if not in_plus_cone(*norms, m):
                 step *= 0.5
                 continue
-            penalty_try, dist_sq_try = _penalty(v_try, centers, strength)
-            armijo = obj - opts.armijo_c * step * threshold
+            armijo = state.j_val - opts.armijo_c * step * threshold
             # a rejected trial (and the f(|u|)u it carries) is not held
             # through the next evaluation
             state_try = None
             state_try = evaluate_reduced(
                 model, v_try, tol=forcing_tolerance(tol_inner_abs, forcing, gnorm), w0=state.w,
                 max_iter=opts.max_inner, need_gradient=False,
-                reject_above=armijo - penalty_try, v_norms=norms,
+                reject_above=armijo, v_norms=norms,
             )
             if state_try is not None:
-                obj_try = state_try.j_val + penalty_try
                 # J(v_try) lies in [j_val, _j_upper(j_val, r)]; a state
                 # solved to tol_inner is taken as exact
                 r = state_try.inner_residual
-                if r > tol_inner_abs and obj_try <= armijo < _j_upper(obj_try, r):
+                if r > tol_inner_abs and state_try.j_val <= armijo < _j_upper(state_try.j_val, r):
                     # only the lower end passes: decide on the finished solve
                     state_try = evaluate_reduced(
                         model, v_try, tol=tol_inner_abs, w0=state_try.w,
                         max_iter=opts.max_inner, need_gradient=False, v_norms=norms,
                     )
-                    obj_try = state_try.j_val + penalty_try
-                if obj_try <= armijo:
+                if state_try.j_val <= armijo:
                     accepted = True
                     break
             step *= 0.5
@@ -486,7 +439,8 @@ def minimize_on_sphere(
             continue
         # decreases at rounding level cannot be distinguished from noise;
         # a run of them means the tolerance sits below the certifiable floor
-        stagnant = stagnant + 1 if obj - obj_try < 1e-15 * max(abs(obj), 1e-6) else 0
+        j_val, j_try = state.j_val, state_try.j_val
+        stagnant = stagnant + 1 if j_val - j_try < 1e-15 * max(abs(j_val), 1e-6) else 0
         if stagnant >= 10:
             reason = (
                 f"objective decreases stayed at rounding level for {stagnant} "
@@ -494,10 +448,8 @@ def minimize_on_sphere(
             )
             continue
         state_new = attach_gradient(state_try)
-        penalty, dist_sq = penalty_try, dist_sq_try
-        grad_new = _search_direction(state_new, centers, dist_sq, strength)
-        qn.push(state_new.v - v, grad_new - grad)
-        v, state, grad, obj = state_new.v, state_new, grad_new, obj_try
+        qn.push(state_new.v - v, state_new.grad_tangent - state.grad_tangent)
+        v, state = state_new.v, state_new
         history.append(state.j_val)
         below_half = below_half or state.j_val < half_level
         # norms are v's, taken by the cone test of the accepted trial
@@ -608,8 +560,8 @@ def bifurcation_sweep(
 
 @dataclass
 class MultiResult:
-    """Outcome of the deflated multi-start search: all_records holds each start's
-    search, polished its undeflated polish (None where the search verified itself)."""
+    """Outcome of the multi-start search: all_records holds each start's descent,
+    records one verified (converged) record per solution family."""
 
     records: list[SolutionRecord]
     all_records: list[SolutionRecord]
@@ -617,7 +569,6 @@ class MultiResult:
     distance_matrix: np.ndarray
     family_matrix: np.ndarray
     requested: int
-    polished: list[SolutionRecord | None]
 
 
 def _family_groups(records: list[SolutionRecord], m: float, a: float) -> list[list[int]]:
@@ -645,7 +596,7 @@ def _family_groups(records: list[SolutionRecord], m: float, a: float) -> list[li
     return groups
 
 
-def multi_start_deflated(
+def multi_start(
     model: NonlinearModel,
     a: float,
     k: int,
@@ -655,12 +606,10 @@ def multi_start_deflated(
     """Search for several distinct normalized solutions at one mass.
 
     Starts from plus-projected scaled-envelope basis fields (symmetric and
-    antisymmetric profiles) plus two random smooth starts; after each converged
-    solve, later runs add the repulsive penalty strength/|v - v_i|_2^2 around
-    every found sphere point.  An undeflated search that converged is its own
-    verified record; every other end point is verified by one undeflated
-    descent from it, whose first evaluation is the check.  Fewer-than-requested
-    outcomes are reported, not raised.
+    antisymmetric profiles) plus two random smooth starts, and runs one plain
+    descent from each; the converged descents are the verified records.  A
+    start that does not converge within max_outer is reported as it is.
+    Fewer-than-requested outcomes are reported, not raised.
     """
     if k <= 0:
         raise ValueError("k must be positive")
@@ -669,27 +618,8 @@ def multi_start_deflated(
     starts = [normalized(p, a) for p in _plus_basis(space, envelope_scale, k)[0]]
     rng = np.random.default_rng(opts.seed)
     starts += [random_field(space, rng, bandwidth=1.0, part="plus", target_l2=a) for _ in range(2)]
-
-    # deflated runs only need to leave known basins; the undeflated polish
-    # afterwards carries the full budget
-    opts_deflated = replace(opts, max_outer=min(300, opts.max_outer))
-    centers: list[SpinorField] = []
-    all_records: list[SolutionRecord] = []
-    polished: list[SolutionRecord | None] = []
-    verified: list[SolutionRecord] = []
-    for v0 in starts:
-        rec = minimize_on_sphere(model, a, v0, opts_deflated if centers else opts,
-                                 deflation_centers=centers)
-        all_records.append(rec)
-        ver = rec
-        if centers or not rec.converged:
-            # the record carries the outer iterations of the search and the polish
-            ver = minimize_on_sphere(model, a, rec.v_star, opts)
-            ver.iterations += rec.iterations
-        polished.append(None if ver is rec else ver)
-        if ver.converged:
-            verified.append(ver)
-            centers.append(ver.v_star)
+    all_records = [minimize_on_sphere(model, a, v0, opts) for v0 in starts]
+    verified = [rec for rec in all_records if rec.converged]
 
     # one distance per pair; drop near-duplicates (same sphere point reached twice)
     n = len(verified)
@@ -707,5 +637,4 @@ def multi_start_deflated(
     fam = np.zeros((len(kept), len(kept)), dtype=bool)
     for grp in families:
         fam[np.ix_(grp, grp)] = True
-    return MultiResult(records, all_records, families, table[np.ix_(keep, keep)], fam, k,
-                       polished)
+    return MultiResult(records, all_records, families, table[np.ix_(keep, keep)], fam, k)

@@ -25,7 +25,7 @@ from diracnorm import (
     l2_norm,
     level_bounds,
     minimize_on_sphere,
-    multi_start_deflated,
+    multi_start,
     null_model,
     pure_power,
     subspace_ratio,
@@ -260,7 +260,7 @@ def test_c10_envelope_operator_estimates(space):
 def test_c11_multiplicity_search(space, model):
     a = 0.1
     opts = SolverOptions()
-    res = multi_start_deflated(model, a, 2, opts, space)
+    res = multi_start(model, a, 2, opts, space)
     assert len(res.records) >= 1
     half = 0.5 * MASS * a * a
     for rec in res.records:

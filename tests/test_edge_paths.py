@@ -12,7 +12,7 @@ from diracnorm import (
     inner_maximize,
     l2_norm,
     minimize_on_sphere,
-    multi_start_deflated,
+    multi_start,
     null_model,
     pure_power,
 )
@@ -80,7 +80,7 @@ def test_norm_domination_strict_off_zero_mode(space12):
 def test_multi_reports_fewer_than_requested(space16):
     # the linear baseline has a single level; asking for three is reported,
     # not raised
-    res = multi_start_deflated(null_model(), 0.1, 3, SolverOptions(), space16)
+    res = multi_start(null_model(), 0.1, 3, SolverOptions(), space16)
     assert res.requested == 3
     assert len(res.records) == 1
 

@@ -15,7 +15,7 @@ from diracnorm import (
     kappa,
     l2_norm,
     minimize_on_sphere,
-    multi_start_deflated,
+    multi_start,
     null_model,
     pde_residual,
     pure_power,
@@ -33,8 +33,6 @@ from diracnorm.solver import (
     SolutionRecord,
     _QuasiNewton,
     _family_groups,
-    _penalty,
-    _search_direction,
     _spectral_scale,
     default_initial_guess,
 )
@@ -46,7 +44,6 @@ from diracnorm.spectral_core import (
     l2_inner,
     normalized,
     random_field,
-    riesz_plus,
     split,
 )
 
@@ -185,14 +182,14 @@ def test_sweep_input_validation(space16, opts):
 
 
 def test_multi_null_collapses_to_one_family(space16, opts):
-    res = multi_start_deflated(null_model(), 0.1, 2, opts, space16)
+    res = multi_start(null_model(), 0.1, 2, opts, space16)
     assert len(res.records) == 1
     assert res.records[0].converged
     assert np.allclose(res.distance_matrix, res.distance_matrix.T)
 
 
 def test_multi_pure_power_reverifies(space16, opts):
-    res = multi_start_deflated(pure_power(2.5), 0.1, 2, opts, space16)
+    res = multi_start(pure_power(2.5), 0.1, 2, opts, space16)
     assert len(res.records) >= 1
     for rec in res.records:
         assert rec.converged
@@ -259,7 +256,8 @@ def test_line_search_opens_at_an_acceptable_step(space12, monkeypatch):
 
 
 def test_deflated_starts_converge_within_budget(space12):
-    res = multi_start_deflated(pure_power(2.5), 0.1, 2, SolverOptions(), space12)
+    """Each start's plain descent converges well inside the default budget."""
+    res = multi_start(pure_power(2.5), 0.1, 2, SolverOptions(), space12)
     assert len(res.all_records) == 4
     for rec in res.all_records:
         assert rec.converged
@@ -277,9 +275,9 @@ def test_record_reads_the_reduced_state(space12):
 
 
 def test_multi_records_carry_their_outer_iterations(space12):
-    res = multi_start_deflated(pure_power(2.5), 0.1, 2, SolverOptions(), space12)
+    res = multi_start(pure_power(2.5), 0.1, 2, SolverOptions(), space12)
     assert all(rec.iterations > 0 for rec in res.records)
-    # the first start runs undeflated, so its verified record leads the list
+    # the first start converges, so its record leads the list
     assert res.records[0].iterations >= res.all_records[0].iterations
 
 
@@ -310,7 +308,7 @@ def test_a_stall_inside_the_drivers_is_recorded_not_raised(space12):
     sweep = bifurcation_sweep(model, [0.1, 0.08], opts, space12)
     assert all(rec.stall_reason for rec in sweep.records)
     assert not sweep.fit_valid
-    multi = multi_start_deflated(model, 0.1, 2, opts, space12)
+    multi = multi_start(model, 0.1, 2, opts, space12)
     assert multi.all_records and all(rec.stall_reason for rec in multi.all_records)
     assert multi.records == []
     # 24^3 descends from a 12^3 solve, which stalls too and so gives no omega_coarse
@@ -331,13 +329,13 @@ def test_auto_a_max_is_calibrated_once_per_sweep_and_multi(space12, monkeypatch)
     bifurcation_sweep(model, [0.1, 0.08], opts, space12)
     assert spaces == [space12]
     spaces.clear()
-    multi_start_deflated(model, 0.1, 2, opts, space12)
+    multi_start(model, 0.1, 2, opts, space12)
     assert spaces == [space12]
 
 
 @pytest.mark.parametrize("entry", ["solve", "sweep", "multi"])
 def test_a_mass_above_a_max_is_refused_before_any_descent(space12, monkeypatch, entry):
-    """solve_normalized, bifurcation_sweep and multi_start_deflated pass their
+    """solve_normalized, bifurcation_sweep and multi_start pass their
     largest mass through the one a_max gate before they descend."""
     calls = []
     minimize = solver_module.minimize_on_sphere
@@ -351,7 +349,7 @@ def test_a_mass_above_a_max_is_refused_before_any_descent(space12, monkeypatch, 
     run = {
         "solve": lambda: solve_normalized(model, 0.1, space12, opts),
         "sweep": lambda: bifurcation_sweep(model, [0.1, 0.04], opts, space12),
-        "multi": lambda: multi_start_deflated(model, 0.1, 2, opts, space12),
+        "multi": lambda: multi_start(model, 0.1, 2, opts, space12),
     }[entry]
     with pytest.raises(SmallnessError, match="a=0.1 exceeds the validated threshold a_max=0.05"):
         run()
@@ -359,7 +357,7 @@ def test_a_mass_above_a_max_is_refused_before_any_descent(space12, monkeypatch, 
 
 
 def _cold_points(monkeypatch, opts, space):
-    """The sphere points multi_start_deflated inner-solves from w0=None."""
+    """The sphere points multi_start inner-solves from w0=None."""
     points = []
     evaluate = solver_module.evaluate_reduced
 
@@ -369,7 +367,7 @@ def _cold_points(monkeypatch, opts, space):
         return evaluate(model, v, *args, **kwargs)
 
     monkeypatch.setattr(solver_module, "evaluate_reduced", recording)
-    multi_start_deflated(pure_power(2.5), 0.1, 2, opts, space)
+    multi_start(pure_power(2.5), 0.1, 2, opts, space)
     return points
 
 
@@ -383,11 +381,25 @@ def test_multi_inner_solves_no_sphere_point_cold_twice(space12, monkeypatch):
     assert repeats == []
 
 
-def test_multi_verifies_a_converged_undeflated_search_without_a_cold_solve(
-    space12, monkeypatch
-):
-    # four starts; only the deflated searches need an undeflated polish
-    assert len(_cold_points(monkeypatch, SolverOptions(), space12)) <= 7
+def test_multi_solves_one_cold_point_per_start(space12, monkeypatch):
+    # four starts, one descent each; a converged descent is its own verification
+    assert len(_cold_points(monkeypatch, SolverOptions(), space12)) == 4
+
+
+def test_multi_runs_one_descent_per_start_and_reports_them(space12, monkeypatch):
+    calls = []
+    minimize = solver_module.minimize_on_sphere
+
+    def counting(*args, **kwargs):
+        rec = minimize(*args, **kwargs)
+        calls.append(rec)
+        return rec
+
+    monkeypatch.setattr(solver_module, "minimize_on_sphere", counting)
+    res = multi_start(pure_power(2.5), 0.1, 2, SolverOptions(), space12)
+    assert len(calls) == 4
+    assert all(a is b for a, b in zip(res.all_records, calls))
+    assert res.records and all(any(rec is r for r in res.all_records) for rec in res.records)
 
 
 def _assert_records_bit_equal(got: SolutionRecord, want: SolutionRecord) -> None:
@@ -403,16 +415,15 @@ def _assert_records_bit_equal(got: SolutionRecord, want: SolutionRecord) -> None
             assert x == y, spec.name
 
 
-@pytest.mark.parametrize("deflated", [False, True], ids=["plain", "deflated"])
-def test_warm_start_rejection_leaves_every_line_search_decision(space12, monkeypatch, deflated):
+@pytest.mark.parametrize("far", [False, True], ids=["plain", "far"])
+def test_warm_start_rejection_leaves_every_line_search_decision(space12, monkeypatch, far):
     """A descent whose failing trials are rejected from their warm-start bound
     takes the same steps, bit for bit, as one that inner-solves every trial."""
     model, a = pure_power(2.5), 0.1
     opts = SolverOptions(max_outer=60)
     v0 = default_initial_guess(space12, model, a)
-    centers = None
-    if deflated:
-        centers = [minimize_on_sphere(model, a, v0, opts).v_star]
+    if far:
+        # a random plus field, far from the minimizer
         v0 = random_field(space12, np.random.default_rng(5), bandwidth=1.0, part="plus",
                           target_l2=a)
     evaluate = solver_module.evaluate_reduced
@@ -427,9 +438,9 @@ def test_warm_start_rejection_leaves_every_line_search_decision(space12, monkeyp
         return evaluate(*args, **kwargs)
 
     monkeypatch.setattr(solver_module, "evaluate_reduced", bounded)
-    got = solver_module.minimize_on_sphere(model, a, v0, opts, deflation_centers=centers)
+    got = solver_module.minimize_on_sphere(model, a, v0, opts)
     monkeypatch.setattr(solver_module, "evaluate_reduced", unbounded)
-    want = solver_module.minimize_on_sphere(model, a, v0, opts, deflation_centers=centers)
+    want = solver_module.minimize_on_sphere(model, a, v0, opts)
     assert any(rejected)
     _assert_records_bit_equal(got, want)
 
@@ -461,7 +472,7 @@ def test_records_read_only_tightly_solved_states(space12, monkeypatch, case):
     v0 = default_initial_guess(space12, model, a)
     if case == "multi":
         seen = _tight_records(
-            monkeypatch, lambda: multi_start_deflated(model, a, 2, opts, space12))
+            monkeypatch, lambda: multi_start(model, a, 2, opts, space12))
     else:
         seen = _tight_records(monkeypatch, lambda: minimize_on_sphere(model, a, v0, opts))
     assert seen
@@ -536,35 +547,6 @@ SPACE12 = DiracSpace(Grid(12, 12.0), 1.0)
 @settings(max_examples=30, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
-    n_centers=st.integers(1, 3),
-    model=st.sampled_from([pure_power(2.5), two_power(2.2, 2.8), null_model()]),
-)
-def test_deflated_direction_matches_the_lift_of_each_difference(seed, n_centers, model):
-    """The deflation terms built from riesz_plus(v) - riesz_plus(c) equal the
-    tangent-projected sum of -2 strength / |v - c|^4 riesz_plus(v - c)."""
-    rng = np.random.default_rng(seed)
-    a, strength = 0.1, 1e-6
-    v = random_field(SPACE12, rng, bandwidth=1.0, part="plus", target_l2=a)
-    found = [random_field(SPACE12, rng, bandwidth=1.0, part="plus", target_l2=a)
-             for _ in range(n_centers)]
-    centers = [(c, riesz_plus(c)) for c in found]
-    state = evaluate_reduced(model, v)
-    # the deflation part alone: the reduced gradient set to zero
-    bare = dataclasses.replace(state, grad_tangent=SpinorField.zeros(SPACE12))
-    _, dist_sq = _penalty(v, centers, strength)
-    got = _search_direction(bare, centers, dist_sq, strength)
-    extra = None
-    for c in found:
-        term = (-2.0 * strength / l2_norm(v - c) ** 4) * riesz_plus(v - c)
-        extra = term if extra is None else extra + term
-    want = tangent_project(v, extra)
-    scale = np.max(np.abs(want.hat))
-    assert np.max(np.abs(got.hat - want.hat)) <= 1e-12 * scale
-
-
-@settings(max_examples=30, deadline=None)
-@given(
-    seed=st.integers(0, 2**32 - 1),
     n_pairs=st.integers(0, 10),
     noise=st.floats(1e-3, 0.5),
 )
@@ -584,7 +566,7 @@ def test_quasi_newton_directions_descend(seed, n_pairs, noise):
                              target_l2=noise * l2_norm(s))
         qn.push(s, y)
     grad = state.grad_tangent
-    direction, _ = qn.descent(state, grad, e_norm(grad))
+    direction, _ = qn.descent(state, e_norm(grad))
     assert e_inner(direction, grad) > 0
 
 
@@ -625,7 +607,7 @@ def test_in_place_two_loop_matches_the_reference_and_keeps_its_inputs(pushes):
     before = [f.hat.tobytes() for f in (grad, state.v)]
     before += [f.hat.tobytes() for s, y, _ in qn.pairs for f in (s, y)]
 
-    direction, _ = qn.descent(state, grad, e_norm(grad))
+    direction, _ = qn.descent(state, e_norm(grad))
 
     after = [f.hat.tobytes() for f in (grad, state.v)]
     after += [f.hat.tobytes() for s, y, _ in qn.pairs for f in (s, y)]
@@ -670,7 +652,7 @@ def test_the_first_evaluation_stops_at_its_forcing_tolerance(space12, monkeypatc
 
 
 def test_a_descent_from_a_converged_point_solves_it_once_tightly(space12, monkeypatch):
-    """Started at a converged sphere point, as the multi-start polish is, a
+    """Started at a converged sphere point, as a warm restart is, a
     descent's first evaluation is already tight (its gradient is near the end)
     and ends the descent without a re-solve."""
     model, a = pure_power(2.5), 0.1
