@@ -57,7 +57,7 @@ from .spectral_core import (
     h_half_norm,
     l2_inner,
     l2_norm,
-    prolong,
+    regrid,
     spectral_projectors,
     split,
 )

@@ -8,8 +8,9 @@ check     run the invariant suites (projector algebra, norm domination,
           bound, sample count and scale
 solve     one normalized solve at the configured mass, seeded from the n/2
           grid when it is eligible (see solver.solve_normalized)
-sweep     bifurcation sweep over the configured mass ladder
-multi     multi-start search for distinct solutions, one plain descent per start
+sweep     bifurcation sweep over the configured mass ladder, its first rung
+          solved as solve does, each later one warm from the rung before
+multi     multi-start search for distinct solutions, each start solved as solve does
 subspace  subspace ratio / level-bound study over the (k, n) lattice; exit 1
           when a sampled direct sup lies above its level bound, or when
           solve.a exceeds solver.a_max
@@ -415,8 +416,8 @@ def cmd_sweep(cfg: RunConfig, space: DiracSpace, out_dir: Path, quiet: bool) -> 
         "omega_nonincreasing_in_a": result.omega_nonincreasing_in_a,
         "p_minus_2": cfg.model.p - 2.0 if cfg.model.kind != "null" else None,
         # why a row did not converge; sweep.csv keeps its nine columns
-        "rows": [{"a": r.a, "stall_reason": r.stall_reason, "failed_criteria": r.failed_criteria}
-                 for r in result.records],
+        "rows": [{"a": r.a, "stall_reason": r.stall_reason, "failed_criteria": r.failed_criteria,
+                  "omega_resolution": r.omega_resolution} for r in result.records],
     }
     (out_dir / "sweep_fit.json").write_text(dump_json(fit))
     n_fail = sum(0 if r.converged else 1 for r in result.records)

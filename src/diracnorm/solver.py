@@ -6,10 +6,10 @@ e-metric, retract back to the sphere by renormalization, accept steps under an
 Armijo decrease test.  A converged sphere point v* yields the solution pair
 (omega, u) with u the fiber maximizer at v* and omega its multiplier quotient.
 
-Additional drivers: a warm-started mass sweep tracing the branch omega(a) down
-to small mass (the bifurcation signature omega -> m, |u|_{H^{1/2}} -> 0), and
-a multi-start search that runs one plain descent from each of several starts
-and groups the converged end points into solution families.
+Drivers, each starting its descents through solve_normalized (nested iteration
+from the n/2 grid where eligible): a mass sweep tracing omega(a) down to small
+mass (omega -> m, |u|_{H^{1/2}} -> 0), its later rungs warm from the one before,
+and a multi-start search grouping the converged end points into families.
 """
 
 from __future__ import annotations
@@ -43,8 +43,8 @@ from .spectral_core import (
     in_plus_cone,
     l2_norm,
     normalized,
-    prolong,
     random_field,
+    regrid,
     split,
 )
 from .subspaces import _plus_basis
@@ -258,10 +258,11 @@ def _build_record(
     grad_converged: bool,
     history: list[float],
     stall_reason: str | None = None,
+    *,
+    a: float,
 ) -> SolutionRecord:
     space = state.v.space
     m = space.mass
-    a = state.a
     u = state.g
     omega = state.kappa_val
     residual = l2_norm(apply_h0(u) - state.fu - omega * u)
@@ -325,8 +326,8 @@ def minimize_on_sphere(
     stopped (budget exhausted or stalled).  Its iterations are the completed
     steps, or max_outer, or the stalled step.
 
-    v0 must be a plus field, as default_initial_guess, prolong and the
-    multi-start fields are (a minus part above 1e-10 a is refused); every
+    v0 must be a plus field, as default_initial_guess, regrid of a plus field and
+    the multi-start fields are (a minus part above 1e-10 a is refused); every
     iterate then stays one, since the search directions are tangent
     projections and per-mode rescalings of plus fields.  A trial whose
     warm-start fiber energy already fails the Armijo test is rejected
@@ -462,7 +463,7 @@ def minimize_on_sphere(
         # above step_init, where a trial is rejected and its inner solve wasted
         step = min(2.0 * step, opts.step_init)
     return _build_record(
-        model, state, opts, iterations, reason is None, history, stall_reason=reason
+        model, state, opts, iterations, reason is None, history, stall_reason=reason, a=a
     )
 
 
@@ -471,22 +472,26 @@ COARSEST_N = 12
 
 
 def solve_normalized(
-    model: NonlinearModel, a: float, space: DiracSpace, opts: SolverOptions
+    model: NonlinearModel, a: float, space: DiracSpace, opts: SolverOptions,
+    v0: SpinorField | None = None,
 ) -> SolutionRecord:
-    """minimize_on_sphere by nested iteration: if n % 4 == 0 and n/2 >= COARSEST_N,
-    start from the sphere point of a (recursive) solve on the n/2 grid of the same
-    box, else from default_initial_guess; omega_coarse is that solve's converged omega."""
+    """minimize_on_sphere from the plus field v0 (default_initial_guess when None)
+    by nested iteration: if n % 4 == 0 and n/2 >= COARSEST_N, a (recursive) solve
+    on the n/2 grid of the same box starts from v0 regridded there, and the fine
+    descent from that solve's sphere point; else the descent starts from v0.
+    omega_coarse is the coarse solve's converged omega."""
     opts = require_small_mass(model, a, space, opts)  # calibrated on the requested grid
     n = space.grid.n_per_axis
     omega_coarse = None
-    if n % 4 or n // 2 < COARSEST_N:
-        v0 = default_initial_guess(space, model, a)
-    else:
+    if n % 4 == 0 and n // 2 >= COARSEST_N:
         coarse_space = DiracSpace(replace(space.grid, n_per_axis=n // 2), space.mass)
-        coarse = solve_normalized(model, a, coarse_space, opts)
+        # the symbol agrees on the shared modes, so a plus field stays plus both ways
+        coarse_v0 = None if v0 is None else normalized(regrid(v0, coarse_space), a)
+        coarse = solve_normalized(model, a, coarse_space, opts, coarse_v0)
         omega_coarse = coarse.omega if coarse.converged else None
-        # the symbol agrees on the shared modes, so the plus field stays plus
-        v0 = normalized(prolong(coarse.v_star, space), a)
+        v0 = normalized(regrid(coarse.v_star, space), a)
+    elif v0 is None:
+        v0 = default_initial_guess(space, model, a)
     rec = minimize_on_sphere(model, a, v0, opts)
     rec.omega_coarse = omega_coarse
     return rec
@@ -501,7 +506,7 @@ def extract_solution(
         model, v_star, tol=opts.tol_inner * a, max_iter=opts.max_inner, need_gradient=True
     )
     grad_converged = e_norm(state.grad_tangent) <= opts.tol_grad * a
-    return _build_record(model, state, opts, 0, grad_converged, [state.j_val])
+    return _build_record(model, state, opts, 0, grad_converged, [state.j_val], a=a)
 
 
 @dataclass
@@ -522,7 +527,9 @@ def bifurcation_sweep(
     opts: SolverOptions,
     space: DiracSpace,
 ) -> SweepResult:
-    """Warm-started solves along a strictly decreasing mass ladder.
+    """Solves along a strictly decreasing mass ladder: the first rung by
+    solve_normalized, every later one by a descent warm from the previous
+    rung's sphere point (a coarse solve first would not shorten it).
 
     Fits log(m - omega) against log(a) over the converged rows; the slope
     tracks p - 2 for small mass.  Rows that fail to converge invalidate the
@@ -534,10 +541,9 @@ def bifurcation_sweep(
         raise ValueError("a_values must be strictly decreasing")
     m = space.mass
     opts = require_small_mass(model, a_values[0], space, opts)
-    records: list[SolutionRecord] = []
-    for a in a_values:
-        v_prev = records[-1].v_star if records else default_initial_guess(space, model, a)
-        records.append(minimize_on_sphere(model, a, normalized(v_prev, a), opts))
+    records = [solve_normalized(model, a_values[0], space, opts)]
+    for a in a_values[1:]:
+        records.append(minimize_on_sphere(model, a, normalized(records[-1].v_star, a), opts))
     fit_valid = all(r.converged for r in records)
     slope = None
     gap_constant = None
@@ -606,8 +612,8 @@ def multi_start(
     """Search for several distinct normalized solutions at one mass.
 
     Starts from plus-projected scaled-envelope basis fields (symmetric and
-    antisymmetric profiles) plus two random smooth starts, and runs one plain
-    descent from each; the converged descents are the verified records.  A
+    antisymmetric profiles) plus two random smooth starts, and solves from each
+    by solve_normalized; the converged solves are the verified records.  A
     start that does not converge within max_outer is reported as it is.
     Fewer-than-requested outcomes are reported, not raised.
     """
@@ -618,7 +624,7 @@ def multi_start(
     starts = [normalized(p, a) for p in _plus_basis(space, envelope_scale, k)[0]]
     rng = np.random.default_rng(opts.seed)
     starts += [random_field(space, rng, bandwidth=1.0, part="plus", target_l2=a) for _ in range(2)]
-    all_records = [minimize_on_sphere(model, a, v0, opts) for v0 in starts]
+    all_records = [solve_normalized(model, a, space, opts, v0) for v0 in starts]
     verified = [rec for rec in all_records if rec.converged]
 
     # one distance per pair; drop near-duplicates (same sphere point reached twice)

@@ -423,20 +423,21 @@ def normalized(u: SpinorField, target: float = 1.0) -> SpinorField:
     return u * (target / n)
 
 
-def prolong(u: SpinorField, fine_space: DiracSpace) -> SpinorField:
-    """u zero-padded in Fourier space onto a finer grid of the same box and mass,
-    without the coarse Nyquist planes; the L2 and e norms are kept."""
-    coarse, nc, nf = u.space, u.space.grid.n_per_axis, fine_space.grid.n_per_axis
-    same = (fine_space.grid.box_length, fine_space.mass) == (coarse.grid.box_length, coarse.mass)
-    if not same or nf <= nc:
-        raise ValueError(f"prolong from {nc}^3 needs a finer grid of the same box and mass")
-    keep = nc // 2 - 1  # modes -keep..keep per axis, in FFT order on each grid
-    coarse_modes, fine_modes = (
-        (slice(None),) + np.ix_(*[np.r_[0 : keep + 1, n - keep : n]] * 3) for n in (nc, nf)
+def regrid(u: SpinorField, space: DiracSpace) -> SpinorField:
+    """u on another grid of the same box and mass, finer or coarser: the Fourier
+    modes -k..k per axis, k = min(n)/2 - 1, are copied, so neither grid's
+    Nyquist planes are written; the L2 and e norms of those modes are kept."""
+    n_from, n_to = u.space.grid.n_per_axis, space.grid.n_per_axis
+    same = (space.grid.box_length, space.mass) == (u.space.grid.box_length, u.space.mass)
+    if not same or n_to == n_from:
+        raise ValueError(f"regrid from {n_from}^3 needs another grid of the same box and mass")
+    keep = min(n_from, n_to) // 2 - 1  # modes -keep..keep per axis, in FFT order on each grid
+    from_modes, to_modes = (
+        (slice(None),) + np.ix_(*[np.r_[0 : keep + 1, n - keep : n]] * 3) for n in (n_from, n_to)
     )
-    hat = np.zeros((4, nf, nf, nf), np.complex128)
-    hat[fine_modes] = (nf / nc) ** 1.5 * u.hat[coarse_modes]  # unitary FFT scaling
-    return SpinorField.from_hat(fine_space, hat)
+    hat = np.zeros((4, n_to, n_to, n_to), np.complex128)
+    hat[to_modes] = (n_to / n_from) ** 1.5 * u.hat[from_modes]  # unitary FFT scaling
+    return SpinorField.from_hat(space, hat)
 
 
 def constant_field(space: DiracSpace, chi) -> SpinorField:

@@ -268,6 +268,24 @@ def test_cmd_sweep_csv_shape(tmp_path):
     assert len(lines) == 3
 
 
+def test_records_carry_the_configured_mass_exactly(tmp_path):
+    """A record's a is the prescribed mass, not the L2 norm of its last
+    retracted iterate, in the JSON, the CSV and the snapshot header."""
+    import json
+
+    out = tmp_path / "out"
+    cfg = _write(tmp_path, SMALL + f"sweep.a_values=0.2,0.14,0.1\noutput.dir={out}\n")
+    for command in ("solve", "sweep", "multi"):
+        assert main([command, "--config", cfg, "--quiet"]) == 0
+    records = [json.loads((out / name).read_text()) for name in ("solution.json", "multi_00.json")]
+    assert [rec["a"] for rec in records] == [0.1, 0.1]
+    assert [load_field_snapshot(out / rec["snapshot"])[1] for rec in records] == [0.1, 0.1]
+    rows = json.loads((out / "sweep_fit.json").read_text())["rows"]
+    assert [row["a"] for row in rows] == [0.2, 0.14, 0.1]
+    lines = (out / "sweep.csv").read_text().splitlines()[1:]
+    assert [float(line.split(",")[0]) for line in lines] == [0.2, 0.14, 0.1]
+
+
 def test_cmd_sweep_rejects_empty_values(tmp_path):
     cfg = _write(tmp_path, "sweep.a_values=,\n")
     assert main(["sweep", "--config", cfg]) == 2
